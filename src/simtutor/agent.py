@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .induction import (
     InductionFailure,
     Skill,
-    evaluate,
-    expr_roles,
     induce_from_demo,
     refine_conditions,
 )
@@ -35,18 +34,25 @@ from .state import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Activation:
-    """A matched skill bound to concrete fields, with its proposed step."""
+class Activation(NamedTuple):
+    """A matched skill bound to concrete fields, with its proposed step.
+
+    A named tuple: matching builds one per candidate on every step.
+    """
 
     skill_id: str
     binding: tuple  # ((role, field_id), ...)
     proposed: SAI
     utility_value: float
+    skill: Skill | None = None  # the matched skill, for ranking
 
 
 def perceive(session) -> WorkingMemory:
-    """Project a tutor session's visible state into working memory."""
+    """Project a tutor session's visible state into working memory.
+
+    ``run_problem`` perceives once per problem and then derives each later
+    state with ``WorkingMemory.with_value``.
+    """
     snapshot = session.snapshot()
     if not snapshot:
         raise MalformedTutorError("empty tutor snapshot")
@@ -55,39 +61,52 @@ def perceive(session) -> WorkingMemory:
         if role not in vocabulary:
             raise MalformedTutorError(f"role {role!r} not in tutor vocabulary")
     return WorkingMemory(
-        [(fid, FieldState(role=role, value=value, editable=editable))
+        [(fid, FieldState(role, value, editable))
          for fid, role, value, editable in snapshot])
 
 
 def activations(wm: WorkingMemory, skills, excluded=frozenset()):
-    """All skills whose gate holds and whose procedure can execute here."""
+    """All skills whose gate holds and whose procedure can execute here.
+
+    Only skills whose target role is open (editable and empty) are tried.
+    """
+    open_roles = wm.open_roles
     preds = wm.predicates
+    values = wm.values
+    by_role = wm.by_role
     out = []
     for sk in skills:
-        if sk.skill_id in excluded:
-            continue
-        hit = wm.field_for_role(sk.target_role)
-        if hit is None:
-            continue
-        fid, target = hit
-        if not target.editable or target.value is not None:
+        role = sk.target_role
+        if role not in open_roles or sk.skill_id in excluded:
             continue
         if not sk.required <= preds:
             continue
-        binding = [(sk.target_role, fid)]
-        if sk.procedure is not None:
-            value = evaluate(sk.procedure, wm.fraction_values)
+        fid = by_role[role]
+        if sk.compiled is not None:
+            value = sk.compiled(values)
             if value is None:
                 continue
             sai = SAI(fid, INPUT_VALUE, render_value(value))
-            for role in sorted(expr_roles(sk.procedure)):
-                entry = wm.field_for_role(role)
-                if entry is not None:
-                    binding.append((role, entry[0]))
+            # A value means every role the procedure reads is a visible field.
+            binding = ((role, fid), *[(r, by_role[r]) for r in sk.roles])
         else:
             sai = SAI(fid, sk.action)
-        out.append(Activation(sk.skill_id, tuple(binding), sai, float(sk.utility)))
+            binding = ((role, fid),)
+        utility = (sk.successes + 1) / (sk.attempts + 2)
+        out.append(Activation(sk.skill_id, binding, sai, utility, sk))
     return out
+
+
+def _outranks(a: Skill, b: Skill) -> bool:
+    """Exact utility order, (s + 1) / (t + 2) cross-multiplied, then more
+    attempts, then the smaller skill id."""
+    lhs = (a.successes + 1) * (b.attempts + 2)
+    rhs = (b.successes + 1) * (a.attempts + 2)
+    if lhs != rhs:
+        return lhs > rhs
+    if a.attempts != b.attempts:
+        return a.attempts > b.attempts
+    return a.skill_id < b.skill_id
 
 
 def decide(wm: WorkingMemory, skills, excluded=frozenset()):
@@ -95,16 +114,11 @@ def decide(wm: WorkingMemory, skills, excluded=frozenset()):
 
     Ties break on higher attempt count, then smallest skill id.
     """
-    acts = activations(wm, skills, excluded)
-    if not acts:
-        return None
-    by_id = {sk.skill_id: sk for sk in skills}
-
-    def rank(act):
-        sk = by_id[act.skill_id]
-        return (-sk.utility, -sk.attempts, sk.skill_id)
-
-    return min(acts, key=rank)
+    best = None
+    for act in activations(wm, skills, excluded):
+        if best is None or _outranks(act.skill, best.skill):
+            best = act
+    return best
 
 
 def apply_feedback(skills, activation: Activation, correct: bool,
@@ -166,6 +180,10 @@ def run_problem(agent: Agent, session) -> ProblemResult:
     incorrect.
     """
     result = ProblemResult(correct=True)
+    # Perceived once; a step that changes the interface changes exactly one
+    # field, so each later state is derived from the one before.  Feedback
+    # and induction always see the state the step was taken in.
+    wm = perceive(session)
     if session.mode == "training":
         excluded = set()
         guard = 0
@@ -173,21 +191,23 @@ def run_problem(agent: Agent, session) -> ProblemResult:
             guard += 1
             if guard > 10_000:
                 raise ProtocolError("training session failed to progress")
-            wm = perceive(session)
             step = session.next_step()
             act = decide(wm, agent.skills, excluded)
             if act is None:
-                _field, demo = session.demonstrate()
+                field_id, demo = session.demonstrate()
                 result.steps.append((step.role, HINT))
                 result.correct = False
                 agent.induce(wm, demo)
                 excluded.clear()
+                wm = wm.with_value(field_id, session.value(field_id))
             else:
                 outcome = session.submit(act.proposed)
                 if outcome == "correct":
                     result.steps.append((step.role, CORRECT))
                     agent.apply_feedback(act, True, wm)
                     excluded.clear()
+                    field_id = act.proposed.selection
+                    wm = wm.with_value(field_id, session.value(field_id))
                 else:
                     result.steps.append((step.role, ERROR))
                     result.correct = False
@@ -197,7 +217,6 @@ def run_problem(agent: Agent, session) -> ProblemResult:
 
     # Posttest: hints and feedback are unavailable; skills stay frozen.
     while session.active and not session.complete:
-        wm = perceive(session)
         step = session.next_step()
         act = decide(wm, agent.skills)
         if act is None:
@@ -205,6 +224,10 @@ def run_problem(agent: Agent, session) -> ProblemResult:
             session.abandon()
             break
         session.submit(act.proposed)
-        result.steps.append((step.role, session.transcript[-1][1]))
+        outcome = session.transcript[-1][1]
+        result.steps.append((step.role, outcome))
+        if outcome == CORRECT:
+            field_id = act.proposed.selection
+            wm = wm.with_value(field_id, session.value(field_id))
     result.correct = session.judged_correct
     return result

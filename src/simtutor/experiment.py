@@ -224,8 +224,9 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
 
 
 def _worker(args):
-    config, replication, agent_index = args
-    return replication, agent_index, run_agent(config, replication, agent_index)
+    config, replication, agent_index, problems = args
+    return replication, agent_index, run_agent(config, replication, agent_index,
+                                               problems)
 
 
 def run_study(config: ExperimentConfig, problem_sets=None):
@@ -235,14 +236,11 @@ def run_study(config: ExperimentConfig, problem_sets=None):
     (see ``dump_problem_sets``) instead of generating fresh ones.
     """
     config.validate()
-    tasks = [(config, rep, idx)
+    tasks = [(config, rep, idx,
+              None if problem_sets is None else problem_sets[(rep, idx)])
              for rep in range(config.replications)
              for idx in range(config.n_agents)]
-    if problem_sets is not None:
-        results = [(rep, idx, run_agent(cfg, rep, idx,
-                                        problems=problem_sets[(rep, idx)]))
-                   for cfg, rep, idx in tasks]
-    elif config.jobs > 1:
+    if config.jobs > 1:
         with multiprocessing.Pool(config.jobs) as pool:
             results = pool.map(_worker, tasks, chunksize=8)
     else:
@@ -309,8 +307,13 @@ def read_transactions(path):
         records = []
         for row in reader:
             if len(row) != len(COLUMNS):
-                raise ConfigError(f"malformed transaction row: {row!r}")
+                raise ConfigError(
+                    f"malformed transaction row {reader.line_num}: {row!r}")
             if row[8] not in ("CORRECT", "ERROR", "HINT"):
                 raise ConfigError(f"unknown outcome {row[8]!r}")
-            records.append(TrialRecord.from_row(row))
+            try:
+                records.append(TrialRecord.from_row(row))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"malformed transaction row {reader.line_num}: {exc}") from None
     return records

@@ -2,8 +2,10 @@
 
 A demonstrated value is explained by searching compositions of arithmetic
 primitives (add, subtract, multiply, divide) over the visible numeric fields,
-shallowest first, with exact rational arithmetic.  An explanation generalizes
-into a reusable skill: a procedure over field roles plus two predicate sets.
+shallowest first, with exact arithmetic: values stay ``int``, and a
+``Fraction`` appears only for a division that does not come out whole.  An
+explanation generalizes into a reusable skill: a procedure over field roles
+plus two predicate sets.
 
 ``conditions`` is the skill's positive prototype: every predicate observed
 true when the skill was demonstrated, shrunk to the intersection over later
@@ -16,7 +18,8 @@ wrong-everywhere rules die through utility competition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .state import (
@@ -29,6 +32,7 @@ from .state import (
 MAX_DEPTH = 2
 OPS = ("add", "subtract", "multiply", "divide")
 COMMUTATIVE = frozenset(("add", "multiply"))
+_ARITH = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul}
 
 
 class InductionFailure(RuntimeError):
@@ -62,12 +66,23 @@ class Call:
     right: object
 
 
+def divide(left, right):
+    """Exact quotient; an ``int`` when two ints divide evenly.  ``right != 0``."""
+    if type(left) is int and type(right) is int:
+        quotient, remainder = divmod(left, right)
+        return quotient if remainder == 0 else Fraction(left, right)
+    return left / right
+
+
 def evaluate(expr, values):
-    """Evaluate against role -> Fraction; None when unbound or divide-by-zero."""
+    """Evaluate against role -> exact number; None when unbound or divide-by-zero.
+
+    The reference semantics for ``compile_procedure``.
+    """
     if isinstance(expr, Ref):
         return values.get(expr.role)
     if isinstance(expr, Lit):
-        return Fraction(expr.value)
+        return expr.value
     left = evaluate(expr.left, values)
     if left is None:
         return None
@@ -82,7 +97,38 @@ def evaluate(expr, values):
         return left * right
     if right == 0:
         return None
-    return left / right
+    return divide(left, right)
+
+
+def compile_procedure(expr):
+    """A closure ``values -> number | None`` equal to ``evaluate(expr, values)``."""
+    if isinstance(expr, Ref):
+        role = expr.role
+
+        def ref(values):
+            return values.get(role)
+        return ref
+    if isinstance(expr, Lit):
+        constant = expr.value
+        return lambda values: constant
+    left, right = compile_procedure(expr.left), compile_procedure(expr.right)
+    arith = _ARITH.get(expr.op)
+    if arith is not None:
+        def call(values):
+            a = left(values)
+            if a is None:
+                return None
+            b = right(values)
+            return None if b is None else arith(a, b)
+        return call
+
+    def quotient(values):
+        a = left(values)
+        if a is None:
+            return None
+        b = right(values)
+        return None if b is None or b == 0 else divide(a, b)
+    return quotient
 
 
 def depth(expr) -> int:
@@ -118,29 +164,38 @@ def normalize(expr):
 
 
 def _compose_level(levels, d):
-    """All exact-depth-d trees over disjoint leaves, deterministically ordered."""
+    """All exact-depth-d trees over disjoint leaves, deterministically ordered.
+
+    An entry is ``(key, used, value)``.  ``key`` spells the tree, ``(0, i)``
+    for leaf ``i`` and ``(1, op index, left key, right key)`` for a call, and
+    orders commutative operands; ``used`` is the bitmask of its leaves.
+    """
     out = []
     pairs = [(i, j) for i in range(d) for j in range(d) if max(i, j) == d - 1]
     for opi, op in enumerate(OPS):
+        arith = _ARITH.get(op)
+        commutative = op in COMMUTATIVE
         for dl, dr in pairs:
-            for le, lk, lu, lv in levels[dl]:
-                for re_, rk, ru, rv in levels[dr]:
-                    if lu & ru:
+            for lk, lu, lv in levels[dl]:
+                for rk, ru, rv in levels[dr]:
+                    if lu & ru or (commutative and lk > rk):
                         continue
-                    if op in COMMUTATIVE and lk > rk:
-                        continue
-                    if op == "add":
-                        v = lv + rv
-                    elif op == "subtract":
-                        v = lv - rv
-                    elif op == "multiply":
-                        v = lv * rv
+                    if arith is not None:
+                        v = arith(lv, rv)
                     elif rv == 0:
                         continue
                     else:
-                        v = lv / rv
-                    out.append((Call(op, le, re_), (1, opi, lk, rk), lu | ru, v))
+                        v = divide(lv, rv)
+                    out.append(((1, opi, lk, rk), lu | ru, v))
     return out
+
+
+def _tree(key, leaves):
+    """The expression a search key spells, over ``leaves`` (role, value) pairs."""
+    if key[0] == 0:
+        return Ref(leaves[key[1]][0])
+    _call, opi, left, right = key
+    return Call(OPS[opi], _tree(left, leaves), _tree(right, leaves))
 
 
 def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
@@ -156,29 +211,28 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
     if demo.action != INPUT_VALUE:
         return []
     try:
-        target = Fraction(int(demo.input))
+        target = int(demo.input)
     except (TypeError, ValueError):
         raise InvariantError(f"non-numeric demonstration {demo.input!r}") from None
 
     leaves = wm.numeric_leaves()
-    levels = [[(Ref(role), (0, i), frozenset((i,)), val)
-               for i, (role, val) in enumerate(leaves)]]
+    levels = [[((0, i), 1 << i, val) for i, (_role, val) in enumerate(leaves)]]
     for d in range(max_depth + 1):
         if d > 0:
             levels.append(_compose_level(levels, d))
         found, seen = [], set()
-        for expr, _key, _used, val in levels[d]:
+        for key, _used, val in levels[d]:
             if val != target:
                 continue
-            canon = normalize(expr)
+            canon = normalize(_tree(key, leaves))
             token = sexpr(canon)
             if token not in seen:
                 seen.add(token)
                 found.append(canon)
         if found:
             return found
-    if allow_constant and target.denominator == 1:
-        return [Lit(target.numerator)]
+    if allow_constant:
+        return [Lit(target)]
     return []
 
 
@@ -198,10 +252,16 @@ class Skill:
     required: frozenset = frozenset()
     successes: int = 0
     attempts: int = 0
+    # Derived from ``procedure`` once: its compiled closure and sorted roles.
+    compiled: object = field(default=None, init=False, compare=False, repr=False)
+    roles: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.successes > self.attempts:
             raise InvariantError("successes exceed attempts")
+        if self.procedure is not None:
+            self.compiled = compile_procedure(self.procedure)
+            self.roles = tuple(sorted(expr_roles(self.procedure)))
 
     @property
     def utility(self) -> Fraction:
@@ -270,7 +330,7 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id,
     target = wm.field(demo.selection)
     value = None
     if demo.action == INPUT_VALUE:
-        value = Fraction(int(demo.input))
+        value = int(demo.input)
 
     credited = False
     for sk in skills:
@@ -279,7 +339,7 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id,
         if sk.procedure is None:
             reproduces = True
         else:
-            reproduces = evaluate(sk.procedure, wm.fraction_values) == value
+            reproduces = sk.compiled(wm.values) == value
         if reproduces:
             sk.record(True)
             refine_conditions(sk, wm, True)

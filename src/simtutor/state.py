@@ -7,7 +7,7 @@ act by submitting a selection/action/input triple against one field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 INPUT_VALUE = "input_value"
 PRESS_DONE = "press_done"
@@ -39,9 +39,13 @@ class ConfigError(ValueError):
     """Invalid experiment or CLI configuration."""
 
 
-@dataclass(frozen=True)
-class FieldState:
-    """One interface field: semantic role, current value, editability."""
+class FieldState(NamedTuple):
+    """One interface field: semantic role, current value, editability.
+
+    A named tuple rather than a frozen dataclass: working memory builds one
+    per field per problem and one per step, and a tuple is built in half the
+    time.
+    """
 
     role: str
     value: object = None
@@ -71,18 +75,28 @@ class SAI:
             raise InvariantError("input is present iff action is input_value")
 
 
-def render_value(value: Fraction) -> str:
-    """Canonical token for a computed value: integers bare, otherwise n/d."""
+def render_value(value) -> str:
+    """Canonical token for a computed value: integers bare, otherwise n/d.
+
+    ``value`` is an ``int`` or a ``Fraction``; both carry ``numerator`` and
+    ``denominator``.
+    """
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def _true_predicates(order, fields):
+# Field ids read by derived (non-fill) predicates.  A change to any other
+# field only swaps its filled/empty literal.
+_DERIVED_INPUTS = frozenset(("op", "r1_op", "r2_op", "den1", "den2", "convert_check"))
+
+
+def _fill_literal(field_id, state):
+    return ("filled", field_id) if state.value is not None else ("empty", field_id)
+
+
+def _derived_predicates(fields):
     preds = set()
-    for fid in order:
-        st = fields[fid]
-        preds.add(("filled", fid) if st.filled else ("empty", fid))
     op = fields.get("op")
     if op is not None and op.filled:
         preds.add(("op_equals", op.value))
@@ -97,40 +111,89 @@ def _true_predicates(order, fields):
     chk = fields.get("convert_check")
     if chk is not None and bool(chk.value):
         preds.add(("box_checked",))
-    return frozenset(preds)
+    return preds
 
 
 class WorkingMemory:
     """The visible tutor state: ordered fields plus the true predicate set.
 
     Field ids and roles must both be unique; in the bundled tutors every
-    field id equals its role.
+    field id equals its role.  ``values`` maps the role of every numeric
+    field to its exact ``int`` value, and ``open_roles`` holds the roles of
+    the editable fields that are still empty.  Working memory is never
+    mutated: ``with_value`` derives the state after one field changes.
     """
 
-    __slots__ = ("order", "fields", "by_role", "predicates", "fraction_values")
+    __slots__ = ("order", "fields", "by_role", "predicates", "values", "open_roles")
 
     def __init__(self, entries):
         order = []
         fields = {}
         by_role = {}
+        preds = set()
+        values = {}
+        open_roles = set()
         for field_id, state in entries:
+            role = state.role
             if field_id in fields:
                 raise MalformedTutorError(f"duplicate field id {field_id!r}")
-            if state.role in by_role:
-                raise MalformedTutorError(f"duplicate role {state.role!r}")
+            if role in by_role:
+                raise MalformedTutorError(f"duplicate role {role!r}")
             order.append(field_id)
             fields[field_id] = state
-            by_role[state.role] = field_id
+            by_role[role] = field_id
+            preds.add(_fill_literal(field_id, state))
+            if state.numeric:
+                values[role] = state.value
+            elif state.value is None and state.editable:
+                open_roles.add(role)
         if not order:
             raise MalformedTutorError("empty tutor snapshot")
         self.order = tuple(order)
         self.fields = fields
         self.by_role = by_role
-        self.predicates = _true_predicates(self.order, fields)
-        self.fraction_values = {
-            fields[fid].role: Fraction(fields[fid].value)
-            for fid in order if fields[fid].numeric
-        }
+        self.predicates = frozenset(preds | _derived_predicates(fields))
+        self.values = values
+        self.open_roles = frozenset(open_roles)
+
+    def with_value(self, field_id, value) -> WorkingMemory:
+        """Working memory after ``field_id`` takes ``value``; ``self`` is unchanged.
+
+        Copies the field map once and applies a predicate delta: the field's
+        filled/empty literal, plus the derived predicates when the field is
+        one of their inputs.
+        """
+        old = self.field(field_id)
+        role = old.role
+        new = FieldState(role, value, old.editable)
+        fields = self.fields.copy()
+        fields[field_id] = new
+        wm = WorkingMemory.__new__(WorkingMemory)
+        wm.order = self.order
+        wm.fields = fields
+        wm.by_role = self.by_role
+        preds = self.predicates
+        open_roles = self.open_roles
+        if old.filled != new.filled:
+            preds = preds.difference((_fill_literal(field_id, old),)).union(
+                (_fill_literal(field_id, new),))
+            if new.editable:
+                open_roles = (open_roles.difference((role,)) if new.filled
+                              else open_roles.union((role,)))
+        if field_id in _DERIVED_INPUTS:
+            preds = preds.difference(_derived_predicates(self.fields)).union(
+                _derived_predicates(fields))
+        wm.predicates = preds
+        wm.open_roles = open_roles
+        values = self.values
+        if new.numeric or role in values:
+            values = values.copy()
+            if new.numeric:
+                values[role] = value
+            else:
+                del values[role]
+        wm.values = values
+        return wm
 
     def field(self, field_id):
         try:
@@ -138,17 +201,14 @@ class WorkingMemory:
         except KeyError:
             raise InvariantError(f"unknown field {field_id!r}") from None
 
-    def field_for_role(self, role):
-        fid = self.by_role.get(role)
-        return None if fid is None else (fid, self.fields[fid])
-
     def numeric_leaves(self):
         """(role, exact value) pairs for every numeric field, in field order."""
+        values = self.values
         out = []
         for fid in self.order:
-            st = self.fields[fid]
-            if st.numeric:
-                out.append((st.role, Fraction(st.value)))
+            role = self.fields[fid].role
+            if role in values:
+                out.append((role, values[role]))
         return out
 
     def __repr__(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .state import (
     CHECK_BOX,
@@ -103,6 +102,7 @@ class TutorSession:
         self._editable = script.editable_roles
         self._values = {r: script.given_fields.get(r) for r in self._layout}
         self._locked = set()
+        self._cursor = 0  # every canonical step before it is locked
         self._dead = False
         self.transcript = []
 
@@ -114,11 +114,18 @@ class TutorSession:
         """Every field is visible from problem start, including empty ones."""
         return [(r, r, self._values[r], r in self._editable) for r in self._layout]
 
+    def value(self, field_id):
+        """A field's current value, as ``snapshot`` reports it."""
+        return self._values[field_id]
+
     def next_step(self):
-        for step in self.script.canonical_steps:
-            if step.role not in self._locked:
-                return step
-        return None
+        # Locked steps stay locked, so the scan resumes where it last stopped.
+        steps = self.script.canonical_steps
+        i = self._cursor
+        while i < len(steps) and steps[i].role in self._locked:
+            i += 1
+        self._cursor = i
+        return steps[i] if i < len(steps) else None
 
     @property
     def complete(self) -> bool:
@@ -259,16 +266,21 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
 _BOX_OPS = ("+", "-", "*", "/")
 
 
-def _apply_op(op: str, a: int, b: int):
+def _whole_op(op: str, a: int, b: int):
+    """``a op b`` as an int, or None when it is not a whole number.
+
+    Every generator rejects a fractional or undefined result alike, so no
+    quotient is built for them.
+    """
     if op == "+":
         return a + b
     if op == "-":
         return a - b
     if op == "*":
         return a * b
-    if b == 0:
+    if b == 0 or a % b:
         return None
-    return Fraction(a, b)
+    return a // b
 
 
 def ambiguity_count(values, answer) -> int:
@@ -278,22 +290,22 @@ def ambiguity_count(values, answer) -> int:
     Positions with equal values are one candidate; ordered operand pairs of
     the asymmetric operators are distinct candidates when their values differ.
     """
-    n = len(values)
     seen = set()
-    for op in _BOX_OPS:
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if op in ("+", "*") and i > j:
-                    continue
-                v = _apply_op(op, values[i], values[j])
-                if v is None or v != answer:
-                    continue
-                a, b = values[i], values[j]
-                if op in ("+", "*"):
-                    a, b = min(a, b), max(a, b)
-                seen.add((op, a, b))
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            if i == j:
+                continue
+            if i < j:
+                lo, hi = (a, b) if a <= b else (b, a)
+                if a + b == answer:
+                    seen.add(("+", lo, hi))
+                if a * b == answer:
+                    seen.add(("*", lo, hi))
+            if a - b == answer:
+                seen.add(("-", a, b))
+            # a / b == answer, exactly and without building the quotient.
+            if b != 0 and a == answer * b:
+                seen.add(("/", a, b))
     return len(seen)
 
 
@@ -308,8 +320,8 @@ def _gen_row1(constraint: str, rng):
         return a, op1, b
     op1 = rng.choice(_BOX_OPS)
     a, b = rng.randint(1, 30), rng.randint(1, 30)
-    v = _apply_op(op1, a, b)
-    if v is None or (isinstance(v, Fraction) and v.denominator != 1) or v < 1:
+    v = _whole_op(op1, a, b)
+    if v is None or v < 1:
         return None
     return a, op1, b
 
@@ -334,11 +346,8 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
         if difficulty == "easy":
             op1 = rng.choice(_BOX_OPS)
             a, b = rng.randint(1, 30), rng.randint(1, 30)
-            v = _apply_op(op1, a, b)
-            if v is None or (isinstance(v, Fraction) and v.denominator != 1):
-                continue
-            v = int(v)
-            if v < 1 or v in (a, b):
+            v = _whole_op(op1, a, b)
+            if v is None or v < 1 or v in (a, b):
                 continue
             givens = {"r1_a": a, "r1_op": op1, "r1_b": b}
             steps = (CanonicalStep("r2_a", INPUT_VALUE, str(v)),
@@ -358,11 +367,8 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
         slot = layout if layout is not None else rng.choice(("given_first", "box_first"))
         g = rng.randint(1, 30)
         x = rng.randint(1, 30)
-        t = _apply_op(rel_op, g, x) if slot == "given_first" else _apply_op(rel_op, x, g)
-        if t is None or (isinstance(t, Fraction) and t.denominator != 1):
-            continue
-        t = int(t)
-        if t < 1 or t > 99:
+        t = _whole_op(rel_op, g, x) if slot == "given_first" else _whole_op(rel_op, x, g)
+        if t is None or t < 1 or t > 99:
             continue
         row1 = _gen_row1(constraint, rng)
         if row1 is None:

@@ -148,3 +148,17 @@ def test_gen_problems_box_constraint(capsys):
     assert len(lines) == 2
     assert all(json.loads(l)["type"] == "box_hard" for l in lines)
     assert all("unconstrained" in json.loads(l)["tags"] for l in lines)
+
+
+def test_report_rejects_non_integer_numbers_in_one_line(tmp_path, capsys):
+    out = run_dir(tmp_path)
+    lines = (out / "transactions.csv").read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "first"  # replication
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], lines[1], ",".join(fields)]) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "malformed transaction row 3:" in err and "'first'" in err

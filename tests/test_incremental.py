@@ -1,0 +1,193 @@
+"""Incremental working memory and compiled procedures against their references.
+
+``run_problem`` perceives once per problem and derives every later state with
+``WorkingMemory.with_value``; skills match through compiled closures instead
+of ``evaluate``.  These properties check both shortcuts against the slow,
+obviously-correct paths they replace.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simtutor.agent import perceive
+from simtutor.induction import (
+    OPS,
+    Call,
+    Lit,
+    Ref,
+    compile_procedure,
+    divide,
+    evaluate,
+)
+from simtutor.state import (
+    CORRECT,
+    INPUT_VALUE,
+    SAI,
+    FieldState,
+    WorkingMemory,
+    render_value,
+)
+from simtutor.tutors import (
+    BOX_FIELDS,
+    FRACTION_EDITABLE,
+    FRACTION_FIELDS,
+    FRACTION_TYPES,
+    TutorSession,
+    gen_box_problem,
+    gen_fraction_problem,
+)
+
+
+def assert_same_memory(derived, fresh):
+    assert derived.order == fresh.order
+    assert [derived.fields[f] for f in derived.order] == \
+        [fresh.fields[f] for f in fresh.order]
+    assert derived.by_role == fresh.by_role
+    assert derived.predicates == fresh.predicates
+    assert derived.values == fresh.values
+    assert derived.open_roles == fresh.open_roles
+    leaves = derived.numeric_leaves()
+    assert leaves == fresh.numeric_leaves()
+    assert [type(v) for _r, v in leaves] == [int] * len(leaves)
+
+
+# -- sessions driven by random actions ---------------------------------------
+
+@st.composite
+def scripts(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(FRACTION_TYPES + ("easy", "hard")))
+    if kind in FRACTION_TYPES:
+        return gen_fraction_problem(kind, rng, "p")
+    constraint = draw(st.sampled_from(("constrained", "unconstrained")))
+    return gen_box_problem(kind, constraint, rng, "p")
+
+
+def _wrong(step):
+    if step.action == INPUT_VALUE:
+        return SAI(step.role, INPUT_VALUE, str(int(step.expected) + 1))
+    return SAI(step.role, INPUT_VALUE, "0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=scripts(), mode=st.sampled_from(("training", "posttest")),
+       actions=st.lists(st.tuples(st.sampled_from(("correct", "wrong", "demo")),
+                                  st.integers(0, 7)), max_size=12))
+def test_derived_memory_equals_fresh_perception(script, mode, actions):
+    session = TutorSession(script, mode)
+    wm = perceive(session)
+    for action, pick in actions:
+        if not session.active or session.complete:
+            break
+        before = perceive(session)
+        if action == "demo" and mode == "training":
+            field_id, _demo = session.demonstrate()
+            changed = field_id
+        else:
+            if mode == "training":
+                step = session.next_step()
+            else:  # posttest accepts any unlocked step, in any order
+                unlocked = [s for s in script.canonical_steps
+                            if session.value(s.role) is None]
+                step = unlocked[pick % len(unlocked)]
+            sai = SAI(step.role, step.action, step.expected) \
+                if action == "correct" else _wrong(step)
+            session.submit(sai)
+            changed = sai.selection if session.transcript[-1][1] == CORRECT else None
+        previous = wm
+        if changed is not None:
+            wm = wm.with_value(changed, session.value(changed))
+        assert_same_memory(wm, perceive(session))
+        assert_same_memory(previous, before)  # copy on write
+
+
+# -- arbitrary single-field changes, including the derived-predicate inputs --
+
+_SYMBOLS = ("+", "x", "-", "*", "/")
+
+
+def _field_values(role):
+    if role in ("op", "r1_op", "r2_op"):
+        return st.one_of(st.none(), st.sampled_from(_SYMBOLS))
+    if role in ("convert_check", "done"):
+        return st.one_of(st.none(), st.just(True))
+    return st.one_of(st.none(), st.integers(-3, 12))
+
+
+@st.composite
+def memories_and_changes(draw):
+    layout = draw(st.sampled_from((FRACTION_FIELDS, BOX_FIELDS)))
+    editable = (FRACTION_EDITABLE if layout is FRACTION_FIELDS
+                else draw(st.frozensets(st.sampled_from(layout))))
+    values = {r: draw(_field_values(r)) for r in layout}
+    role = draw(st.sampled_from(layout))
+    return layout, editable, values, role, draw(_field_values(role))
+
+
+def _memory(layout, editable, values):
+    return WorkingMemory([(r, FieldState(r, values[r], r in editable)) for r in layout])
+
+
+@settings(max_examples=500, deadline=None)
+@given(memories_and_changes())
+def test_one_field_update_equals_rebuilding(case):
+    layout, editable, values, role, value = case
+    wm = _memory(layout, editable, values)
+    derived = wm.with_value(role, value)
+    assert_same_memory(derived, _memory(layout, editable, {**values, role: value}))
+    assert_same_memory(wm, _memory(layout, editable, values))
+
+
+# -- compiled procedures ------------------------------------------------------
+
+_ROLES = ("a", "b", "c", "d")
+
+expressions = st.recursive(
+    st.one_of(st.sampled_from(_ROLES).map(Ref), st.integers(-4, 9).map(Lit)),
+    lambda sub: st.builds(Call, st.sampled_from(OPS), sub, sub),
+    max_leaves=6)
+
+numbers = st.one_of(st.integers(-6, 12),
+                    st.fractions(min_value=-6, max_value=12, max_denominator=7))
+
+
+def _rational(expr, values):
+    """``evaluate`` as it was before exact integers: Fractions throughout."""
+    if isinstance(expr, Ref):
+        v = values.get(expr.role)
+        return None if v is None else Fraction(v)
+    if isinstance(expr, Lit):
+        return Fraction(expr.value)
+    left = _rational(expr.left, values)
+    right = None if left is None else _rational(expr.right, values)
+    if right is None:
+        return None
+    if expr.op == "add":
+        return left + right
+    if expr.op == "subtract":
+        return left - right
+    if expr.op == "multiply":
+        return left * right
+    return None if right == 0 else left / right
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr=expressions, values=st.dictionaries(st.sampled_from(_ROLES), numbers))
+def test_compiled_procedure_equals_evaluate(expr, values):
+    got = compile_procedure(expr)(values)
+    want = evaluate(expr, values)
+    assert got == want and type(got) is type(want)
+    assert want == _rational(expr, values)
+    if want is not None:
+        assert render_value(want) == render_value(Fraction(want))
+
+
+def test_whole_quotients_stay_integers():
+    assert divide(12, 4) == 3 and type(divide(12, 4)) is int
+    assert divide(-7, 7) == -1 and type(divide(-7, 7)) is int
+    assert divide(7, 2) == Fraction(7, 2)
+    assert render_value(6) == "6" and render_value(Fraction(7, 5)) == "7/5"

@@ -51,7 +51,6 @@ def test_unknown_field_lookup_raises():
     wm = make_wm(("num1", 1))
     with pytest.raises(InvariantError):
         wm.field("ghost")
-    assert wm.field_for_role("ghost") is None
 
 
 def test_numeric_leaves_skip_symbols_checks_and_blanks():
