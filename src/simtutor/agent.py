@@ -7,16 +7,10 @@ nothing and are deterministic given the same experience stream.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .induction import (
-    InductionFailure,
-    Skill,
-    induce_from_demo,
-    refine_conditions,
-)
+from .induction import Skill, induce_from_demo, refine_conditions
 from .state import (
     CORRECT,
     ERROR,
@@ -31,20 +25,15 @@ from .state import (
     render_value,
 )
 
-log = logging.getLogger(__name__)
-
 
 class Activation(NamedTuple):
-    """A matched skill bound to concrete fields, with its proposed step.
+    """A matched skill with its proposed step.
 
     A named tuple: matching builds one per candidate on every step.
     """
 
-    skill_id: str
-    binding: tuple  # ((role, field_id), ...)
+    skill: Skill
     proposed: SAI
-    utility_value: float
-    skill: Skill | None = None  # the matched skill, for ranking
 
 
 def perceive(session) -> WorkingMemory:
@@ -56,13 +45,13 @@ def perceive(session) -> WorkingMemory:
     snapshot = session.snapshot()
     if not snapshot:
         raise MalformedTutorError("empty tutor snapshot")
-    vocabulary = session.role_vocabulary
-    for _fid, role, _value, _editable in snapshot:
-        if role not in vocabulary:
-            raise MalformedTutorError(f"role {role!r} not in tutor vocabulary")
+    family = session.family
+    for role, _value, _editable in snapshot:
+        if role not in family.layout:
+            raise MalformedTutorError(f"role {role!r} not in the tutor's layout")
     return WorkingMemory(
-        [(fid, FieldState(role, value, editable))
-         for fid, role, value, editable in snapshot])
+        [(role, FieldState(role, value, editable))
+         for role, value, editable in snapshot], family)
 
 
 def activations(wm: WorkingMemory, skills, excluded=frozenset()):
@@ -73,7 +62,6 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
     open_roles = wm.open_roles
     preds = wm.predicates
     values = wm.values
-    by_role = wm.by_role
     out = []
     for sk in skills:
         role = sk.target_role
@@ -81,19 +69,14 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
             continue
         if not sk.required <= preds:
             continue
-        fid = by_role[role]
         if sk.compiled is not None:
             value = sk.compiled(values)
             if value is None:
                 continue
-            sai = SAI(fid, INPUT_VALUE, render_value(value))
-            # A value means every role the procedure reads is a visible field.
-            binding = ((role, fid), *[(r, by_role[r]) for r in sk.roles])
+            sai = SAI(role, INPUT_VALUE, render_value(value))
         else:
-            sai = SAI(fid, sk.action)
-            binding = ((role, fid),)
-        utility = (sk.successes + 1) / (sk.attempts + 2)
-        out.append(Activation(sk.skill_id, binding, sai, utility, sk))
+            sai = SAI(role, sk.action)
+        out.append(Activation(sk, sai))
     return out
 
 
@@ -125,12 +108,12 @@ def apply_feedback(skills, activation: Activation, correct: bool,
                    wm: WorkingMemory):
     """Credit or penalize the fired skill and refine its predicates."""
     for sk in skills:
-        if sk.skill_id == activation.skill_id:
+        if sk is activation.skill:
             sk.record(correct)
             refine_conditions(sk, wm, correct)
             return sk
     raise InvariantError(f"activation references unknown skill "
-                         f"{activation.skill_id!r}")
+                         f"{activation.skill.skill_id!r}")
 
 
 @dataclass
@@ -160,11 +143,7 @@ class Agent:
         return apply_feedback(self.skills, activation, correct, wm)
 
     def induce(self, wm, demo):
-        try:
-            return induce_from_demo(self.skills, wm, demo, self._new_skill_id)
-        except InductionFailure as exc:
-            log.warning("%s: induction failure: %s", self.agent_id, exc)
-            return None
+        return induce_from_demo(self.skills, wm, demo, self._new_skill_id)
 
     def skills_to_dicts(self):
         return [sk.to_dict() for sk in self.skills]
@@ -194,25 +173,25 @@ def run_problem(agent: Agent, session) -> ProblemResult:
             step = session.next_step()
             act = decide(wm, agent.skills, excluded)
             if act is None:
-                field_id, demo = session.demonstrate()
+                role, demo = session.demonstrate()
                 result.steps.append((step.role, HINT))
                 result.correct = False
                 agent.induce(wm, demo)
                 excluded.clear()
-                wm = wm.with_value(field_id, session.value(field_id))
+                wm = wm.with_value(role, session.value(role))
             else:
                 outcome = session.submit(act.proposed)
                 if outcome == "correct":
                     result.steps.append((step.role, CORRECT))
                     agent.apply_feedback(act, True, wm)
                     excluded.clear()
-                    field_id = act.proposed.selection
-                    wm = wm.with_value(field_id, session.value(field_id))
+                    role = act.proposed.selection
+                    wm = wm.with_value(role, session.value(role))
                 else:
                     result.steps.append((step.role, ERROR))
                     result.correct = False
                     agent.apply_feedback(act, False, wm)
-                    excluded.add(act.skill_id)
+                    excluded.add(act.skill.skill_id)
         return result
 
     # Posttest: hints and feedback are unavailable; skills stay frozen.
@@ -227,7 +206,7 @@ def run_problem(agent: Agent, session) -> ProblemResult:
         outcome = session.transcript[-1][1]
         result.steps.append((step.role, outcome))
         if outcome == CORRECT:
-            field_id = act.proposed.selection
-            wm = wm.with_value(field_id, session.value(field_id))
+            role = act.proposed.selection
+            wm = wm.with_value(role, session.value(role))
     result.correct = session.judged_correct
     return result

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .experiment import filter_hard
 from .state import ConfigError
 
 TYPE_REFERENCE = "add_diff"
@@ -276,14 +277,12 @@ def posttest_effect(records):
 
 def hard_problem_effect(records):
     """Box study scoring: hard-problem correctness on condition and count."""
-    hard = [r for r in records if r.problem_type == "box_hard"]
-    return fit_logistic(hard, phase="tutor", terms=("condition", "count"))
+    return fit_logistic(filter_hard(records), phase="tutor",
+                        terms=("condition", "count"))
 
 
-def accuracy_by_condition(records, phase: str = "tutor", problem_type=None):
+def accuracy_by_condition(records, phase: str = "tutor"):
     problems = problem_outcomes(records, phase)
-    if problem_type is not None:
-        problems = [p for p in problems if p.problem_type == problem_type]
     totals: dict = {}
     for p in problems:
         good, count = totals.get(p.condition, (0, 0))

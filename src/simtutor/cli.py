@@ -27,6 +27,7 @@ from .analytics import (
 )
 from .experiment import (
     box_arrows_config,
+    filter_hard,
     fractions_config,
     read_transactions,
     run_study,
@@ -36,6 +37,8 @@ from .state import ConfigError, GenerationError
 from .tutors import gen_box_problem, gen_fraction_problem
 
 STUDY_NAMES = {"fractions": "fractions", "box-arrows": "box_arrows"}
+CONFIG_KEYS = {"agents": "n_agents", "replications": "replications",
+               "seed": "seed", "jobs": "jobs"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,18 +82,32 @@ def _load_config_file(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw:
         raw = raw["config"]  # accept a manifest as a config source
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     return raw
 
 
 def _resolve_config(args):
+    """Study config from ``--config`` (a config object or a manifest) and flags.
+
+    The file may set ``agents``, ``replications``, ``seed`` and ``jobs`` to
+    integers, and ``study`` to the study being run; flags win.
+    """
     overrides = {}
     if args.config:
-        file_cfg = _load_config_file(args.config)
-        for key in ("agents", "replications", "seed", "jobs"):
-            if key in file_cfg:
-                overrides["n_agents" if key == "agents" else key] = file_cfg[key]
-    for key, attr in (("n_agents", "agents"), ("replications", "replications"),
-                      ("seed", "seed"), ("jobs", "jobs")):
+        for key, value in _load_config_file(args.config).items():
+            if key == "study":
+                if value != args.study:
+                    raise ConfigError(f"config {args.config} is for study "
+                                      f"{value!r}, not {args.study!r}")
+            elif key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r} in {args.config}")
+            elif type(value) is not int:
+                raise ConfigError(f"config key {key!r} must be an integer, "
+                                  f"not {value!r}")
+            else:
+                overrides[CONFIG_KEYS[key]] = value
+    for attr, key in CONFIG_KEYS.items():
         value = getattr(args, attr)
         if value is not None:
             overrides[key] = value
@@ -109,14 +126,15 @@ def _write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def _regressions(config, records):
-    if config.study == "fractions":
-        models = {"tutor": fit_logistic, "posttest": posttest_effect}
-    elif config.hard_only:
+def _regressions(box, records):
+    """Fit a study's models: name -> summary, or the error of an unfit model.
+
+    The fit functions are read from this module's globals when called.
+    """
+    if box:
         models = {"hard_problems": hard_problem_effect}
     else:
-        models = {"all_problems":
-                  lambda recs: fit_logistic(recs, terms=("condition", "count"))}
+        models = {"tutor": fit_logistic, "posttest": posttest_effect}
     out = {}
     for name, fit in models.items():
         try:
@@ -136,7 +154,7 @@ def _cmd_run(args):
     write_transactions(out / "transactions.csv", records)
     _write_csv(out / "curves.csv", curve_rows(learning_curve(records)))
 
-    summaries = _regressions(config, records)
+    summaries = _regressions(config.study == "box_arrows", records)
     text_parts, reg_rows = [], [("model", "term", "odds_ratio", "ci_low",
                                  "ci_high", "p_value")]
     for model, summary in summaries.items():
@@ -179,10 +197,8 @@ def _cmd_report(args):
     print(f"log: {args.log} ({len(records)} rows)")
     if is_box:
         print("hard-problem accuracy by condition:")
-        hard = [r for r in records if r.problem_type == "box_hard"]
-        for cond, acc in accuracy_by_condition(hard).items():
+        for cond, acc in accuracy_by_condition(filter_hard(records)).items():
             print(f"  {cond:15s} {acc:.3f}")
-        models = (("hard_problems", hard_problem_effect),)
     else:
         print("tutor accuracy by condition:")
         for cond, acc in accuracy_by_condition(records, "tutor").items():
@@ -190,13 +206,12 @@ def _cmd_report(args):
         print("posttest accuracy by condition:")
         for cond, acc in accuracy_by_condition(records, "posttest").items():
             print(f"  {cond:15s} {acc:.3f}")
-        models = (("tutor", fit_logistic), ("posttest", posttest_effect))
-    for model, fit in models:
+    for model, summary in _regressions(is_box, records).items():
         print(f"\n{model} regression:")
-        try:
-            print(fit(records).table())
-        except (SeparationError, DesignError) as exc:
-            print(f"not estimable: {exc}")
+        if isinstance(summary, Exception):
+            print(f"not estimable: {summary}")
+        else:
+            print(summary.table())
     return 0
 
 

@@ -54,6 +54,10 @@ class TrialRecord:
 
     @staticmethod
     def from_row(row):
+        if row[8] not in ("CORRECT", "ERROR", "HINT"):
+            raise ValueError(f"unknown outcome {row[8]!r}")
+        if row[9] not in ("0", "1"):
+            raise ValueError(f"problem_correct must be 0 or 1, not {row[9]!r}")
         return TrialRecord(
             agent_id=row[0], replication=int(row[1]), condition=row[2],
             phase=row[3], problem_id=row[4], problem_type=row[5],
@@ -69,7 +73,6 @@ class ExperimentConfig:
     replications: int = 10
     seed: int = 7
     conditions: tuple = ()
-    hard_only: bool = True  # box-and-arrows scoring flag
     jobs: int = 1
 
     def validate(self):
@@ -83,14 +86,6 @@ class ExperimentConfig:
             raise ConfigError("jobs must be at least 1")
         if len(self.conditions) != 2:
             raise ConfigError("exactly two conditions are required")
-        if self.study == "fractions":
-            if sum(FRACTIONS_TRAINING.values()) != 48:
-                raise ConfigError("fractions curriculum must total 48 problems")
-            if sum(FRACTIONS_POSTTEST.values()) != 8:
-                raise ConfigError("fractions posttest must total 8 problems")
-        else:
-            if sum(BOX_TRAINING.values()) != 32:
-                raise ConfigError("box curriculum must total 32 problems")
         return self
 
 
@@ -309,8 +304,6 @@ def read_transactions(path):
             if len(row) != len(COLUMNS):
                 raise ConfigError(
                     f"malformed transaction row {reader.line_num}: {row!r}")
-            if row[8] not in ("CORRECT", "ERROR", "HINT"):
-                raise ConfigError(f"unknown outcome {row[8]!r}")
             try:
                 records.append(TrialRecord.from_row(row))
             except ValueError as exc:

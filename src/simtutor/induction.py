@@ -35,10 +35,6 @@ COMMUTATIVE = frozenset(("add", "multiply"))
 _ARITH = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mul}
 
 
-class InductionFailure(RuntimeError):
-    """No explanation was found and the constant fallback is disabled."""
-
-
 # --------------------------------------------------------------------------
 # Expression trees
 # --------------------------------------------------------------------------
@@ -252,16 +248,14 @@ class Skill:
     required: frozenset = frozenset()
     successes: int = 0
     attempts: int = 0
-    # Derived from ``procedure`` once: its compiled closure and sorted roles.
+    # Derived from ``procedure`` once: its compiled closure.
     compiled: object = field(default=None, init=False, compare=False, repr=False)
-    roles: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.successes > self.attempts:
             raise InvariantError("successes exceed attempts")
         if self.procedure is not None:
             self.compiled = compile_procedure(self.procedure)
-            self.roles = tuple(sorted(expr_roles(self.procedure)))
 
     @property
     def utility(self) -> Fraction:
@@ -286,15 +280,14 @@ class Skill:
         }
 
 
-def generalize(expr, wm: WorkingMemory, target_field: str, skill_id: str) -> Skill:
+def generalize(expr, wm: WorkingMemory, target_role: str, skill_id: str) -> Skill:
     """Lift an explanation into a skill, conditioned on the observed state."""
-    missing = [r for r in expr_roles(expr) if r not in wm.by_role]
+    missing = [r for r in expr_roles(expr) if r not in wm.fields]
     if missing:
         raise InvariantError(f"explanation references absent roles {missing}")
-    target = wm.field(target_field)
     return Skill(
         skill_id=skill_id,
-        target_role=target.role,
+        target_role=wm.field(target_role).role,
         action=INPUT_VALUE,
         procedure=expr,
         conditions=wm.predicates,
@@ -318,23 +311,23 @@ def refine_conditions(skill: Skill, wm: WorkingMemory, correct: bool) -> Skill:
     return skill
 
 
-def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id,
-                     allow_constant: bool = True):
+def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id):
     """Fold one tutor demonstration into the skill store.
 
     Any existing skill for the same field role and action whose procedure
     reproduces the demonstrated value is credited as a positive example.
-    Otherwise the first explanation (in search order) is generalized into a
-    new skill, which is appended to ``skills`` and returned.
+    Otherwise the first explanation (in search order; the constant when
+    nothing else explains the value) is generalized into a new skill, which
+    is appended to ``skills`` and returned.
     """
-    target = wm.field(demo.selection)
+    role = wm.field(demo.selection).role
     value = None
     if demo.action == INPUT_VALUE:
         value = int(demo.input)
 
     credited = False
     for sk in skills:
-        if sk.target_role != target.role or sk.action != demo.action:
+        if sk.target_role != role or sk.action != demo.action:
             continue
         if sk.procedure is None:
             reproduces = True
@@ -348,15 +341,11 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id,
         return None
 
     if demo.action == INPUT_VALUE:
-        exprs = explain(wm, demo, allow_constant=allow_constant)
-        if not exprs:
-            raise InductionFailure(
-                f"no explanation for {demo.input!r} at {demo.selection}")
-        created = generalize(exprs[0], wm, demo.selection, new_id())
+        created = generalize(explain(wm, demo)[0], wm, role, new_id())
     else:
         created = Skill(
             skill_id=new_id(),
-            target_role=target.role,
+            target_role=role,
             action=demo.action,
             procedure=None,
             conditions=wm.predicates,

@@ -1,8 +1,9 @@
 """Tutor interface state as the agent perceives it, plus the step vocabulary.
 
-A tutor exposes an ordered set of fields.  Every field carries a semantic
-role, a current value (``None`` when empty), and an editability flag.  Agents
-act by submitting a selection/action/input triple against one field.
+A tutor exposes an ordered set of fields.  Every field is identified by its
+semantic role and carries a current value (``None`` when empty) and an
+editability flag.  Agents act by submitting a selection/action/input triple
+against one field, selected by its role.
 """
 from __future__ import annotations
 
@@ -86,103 +87,75 @@ def render_value(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# Field ids read by derived (non-fill) predicates.  A change to any other
-# field only swaps its filled/empty literal.
-_DERIVED_INPUTS = frozenset(("op", "r1_op", "r2_op", "den1", "den2", "convert_check"))
-
-
-def _fill_literal(field_id, state):
-    return ("filled", field_id) if state.value is not None else ("empty", field_id)
-
-
-def _derived_predicates(fields):
-    preds = set()
-    op = fields.get("op")
-    if op is not None and op.filled:
-        preds.add(("op_equals", op.value))
-    for fid in ("r1_op", "r2_op"):
-        st = fields.get(fid)
-        if st is not None and st.filled:
-            preds.add(("op_is", fid, st.value))
-    d1, d2 = fields.get("den1"), fields.get("den2")
-    if d1 is not None and d2 is not None and d1.numeric and d2.numeric:
-        preds.add(("denominators_equal",) if d1.value == d2.value
-                  else ("denominators_differ",))
-    chk = fields.get("convert_check")
-    if chk is not None and bool(chk.value):
-        preds.add(("box_checked",))
-    return preds
+def _fill_literal(role, state):
+    return ("filled", role) if state.value is not None else ("empty", role)
 
 
 class WorkingMemory:
-    """The visible tutor state: ordered fields plus the true predicate set.
+    """The visible tutor state: fields by role, plus the true predicate set.
 
-    Field ids and roles must both be unique; in the bundled tutors every
-    field id equals its role.  ``values`` maps the role of every numeric
-    field to its exact ``int`` value, and ``open_roles`` holds the roles of
-    the editable fields that are still empty.  Working memory is never
-    mutated: ``with_value`` derives the state after one field changes.
+    ``fields`` maps each role to its ``FieldState`` in layout order.  The
+    predicates are every field's filled/empty literal plus what the tutor
+    family derives (none without a family).  ``values`` maps the role of
+    every numeric field to its exact ``int`` value, and ``open_roles`` holds
+    the roles of the editable fields that are still empty.  Working memory is
+    never mutated: ``with_value`` derives the state after one field changes.
     """
 
-    __slots__ = ("order", "fields", "by_role", "predicates", "values", "open_roles")
+    __slots__ = ("fields", "family", "predicates", "values", "open_roles")
 
-    def __init__(self, entries):
-        order = []
+    def __init__(self, entries, family=None):
         fields = {}
-        by_role = {}
         preds = set()
         values = {}
         open_roles = set()
-        for field_id, state in entries:
-            role = state.role
-            if field_id in fields:
-                raise MalformedTutorError(f"duplicate field id {field_id!r}")
-            if role in by_role:
+        for role, state in entries:
+            if role != state.role:
+                raise MalformedTutorError(
+                    f"field {role!r} carries the role {state.role!r}")
+            if role in fields:
                 raise MalformedTutorError(f"duplicate role {role!r}")
-            order.append(field_id)
-            fields[field_id] = state
-            by_role[role] = field_id
-            preds.add(_fill_literal(field_id, state))
+            fields[role] = state
+            preds.add(_fill_literal(role, state))
             if state.numeric:
                 values[role] = state.value
             elif state.value is None and state.editable:
                 open_roles.add(role)
-        if not order:
+        if not fields:
             raise MalformedTutorError("empty tutor snapshot")
-        self.order = tuple(order)
+        if family is not None:
+            preds |= family.derive(fields)
         self.fields = fields
-        self.by_role = by_role
-        self.predicates = frozenset(preds | _derived_predicates(fields))
+        self.family = family
+        self.predicates = frozenset(preds)
         self.values = values
         self.open_roles = frozenset(open_roles)
 
-    def with_value(self, field_id, value) -> WorkingMemory:
-        """Working memory after ``field_id`` takes ``value``; ``self`` is unchanged.
+    def with_value(self, role, value) -> WorkingMemory:
+        """Working memory after field ``role`` takes ``value``; ``self`` is unchanged.
 
         Copies the field map once and applies a predicate delta: the field's
         filled/empty literal, plus the derived predicates when the field is
-        one of their inputs.
+        one of the family's derive inputs.
         """
-        old = self.field(field_id)
-        role = old.role
+        old = self.field(role)
         new = FieldState(role, value, old.editable)
         fields = self.fields.copy()
-        fields[field_id] = new
+        fields[role] = new
         wm = WorkingMemory.__new__(WorkingMemory)
-        wm.order = self.order
         wm.fields = fields
-        wm.by_role = self.by_role
+        wm.family = family = self.family
         preds = self.predicates
         open_roles = self.open_roles
         if old.filled != new.filled:
-            preds = preds.difference((_fill_literal(field_id, old),)).union(
-                (_fill_literal(field_id, new),))
+            preds = preds.difference((_fill_literal(role, old),)).union(
+                (_fill_literal(role, new),))
             if new.editable:
                 open_roles = (open_roles.difference((role,)) if new.filled
                               else open_roles.union((role,)))
-        if field_id in _DERIVED_INPUTS:
-            preds = preds.difference(_derived_predicates(self.fields)).union(
-                _derived_predicates(fields))
+        if family is not None and role in family.derive_inputs:
+            preds = preds.difference(family.derive(self.fields)).union(
+                family.derive(fields))
         wm.predicates = preds
         wm.open_roles = open_roles
         values = self.values
@@ -195,22 +168,17 @@ class WorkingMemory:
         wm.values = values
         return wm
 
-    def field(self, field_id):
+    def field(self, role):
         try:
-            return self.fields[field_id]
+            return self.fields[role]
         except KeyError:
-            raise InvariantError(f"unknown field {field_id!r}") from None
+            raise InvariantError(f"unknown field {role!r}") from None
 
     def numeric_leaves(self):
-        """(role, exact value) pairs for every numeric field, in field order."""
+        """(role, exact value) pairs for every numeric field, in layout order."""
         values = self.values
-        out = []
-        for fid in self.order:
-            role = self.fields[fid].role
-            if role in values:
-                out.append((role, values[role]))
-        return out
+        return [(role, values[role]) for role in self.fields if role in values]
 
     def __repr__(self):
-        parts = ", ".join(f"{fid}={self.fields[fid].value!r}" for fid in self.order)
+        parts = ", ".join(f"{role}={state.value!r}" for role, state in self.fields.items())
         return f"WorkingMemory({parts})"

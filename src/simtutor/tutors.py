@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .state import (
     CHECK_BOX,
@@ -23,25 +24,66 @@ from .state import (
     ConfigError,
 )
 
-FRACTION_FIELDS = (
-    "num1", "den1", "op", "num2", "den2",
-    "convert_check", "conv_num1", "conv_den1", "conv_num2", "conv_den2",
-    "answer_num", "answer_den", "done",
+class TutorFamily(NamedTuple):
+    """What one tutor tells the agent about its interface.
+
+    ``layout`` lists the field roles in display order.  ``derive`` maps the
+    field states (role -> ``FieldState``) to the tutor's derived predicates;
+    it reads only the roles in ``derive_inputs``, so a change to any other
+    field only swaps that field's filled/empty literal.
+    """
+
+    layout: tuple
+    derive: Callable
+    derive_inputs: frozenset
+
+
+def _fraction_predicates(fields):
+    preds = set()
+    op = fields.get("op")
+    if op is not None and op.filled:
+        preds.add(("op_equals", op.value))
+    d1, d2 = fields.get("den1"), fields.get("den2")
+    if d1 is not None and d2 is not None and d1.numeric and d2.numeric:
+        preds.add(("denominators_equal",) if d1.value == d2.value
+                  else ("denominators_differ",))
+    chk = fields.get("convert_check")
+    if chk is not None and bool(chk.value):
+        preds.add(("box_checked",))
+    return preds
+
+
+def _box_predicates(fields):
+    preds = set()
+    for role in ("r1_op", "r2_op"):
+        st = fields.get(role)
+        if st is not None and st.filled:
+            preds.add(("op_is", role, st.value))
+    return preds
+
+
+FRACTION_FAMILY = TutorFamily(
+    layout=("num1", "den1", "op", "num2", "den2",
+            "convert_check", "conv_num1", "conv_den1", "conv_num2", "conv_den2",
+            "answer_num", "answer_den", "done"),
+    derive=_fraction_predicates,
+    derive_inputs=frozenset(("op", "den1", "den2", "convert_check")),
 )
 FRACTION_EDITABLE = frozenset((
     "convert_check", "conv_num1", "conv_den1", "conv_num2", "conv_den2",
     "answer_num", "answer_den", "done",
 ))
 
-BOX_FIELDS = ("r1_a", "r1_op", "r1_b", "r2_a", "r2_op", "r2_b", "target", "done")
+# Editable roles vary per box item (the box's position), so scripts carry them.
+BOX_FAMILY = TutorFamily(
+    layout=("r1_a", "r1_op", "r1_b", "r2_a", "r2_op", "r2_b", "target", "done"),
+    derive=_box_predicates,
+    derive_inputs=frozenset(("r1_op", "r2_op")),
+)
 
-FAMILIES = {
-    "fractions": (FRACTION_FIELDS, FRACTION_EDITABLE),
-    "box": (BOX_FIELDS, None),  # editable roles vary per item (box position)
-}
+FAMILIES = {"fractions": FRACTION_FAMILY, "box": BOX_FAMILY}
 
 FRACTION_TYPES = ("add_same", "add_diff", "multiply")
-BOX_TYPES = ("box_easy", "box_hard")
 
 MAX_DRAWS = 10_000
 
@@ -98,25 +140,24 @@ class TutorSession:
             raise ConfigError(f"unknown tutor family {script.family!r}")
         self.script = script
         self.mode = mode
-        self._layout = FAMILIES[script.family][0]
+        self.family = FAMILIES[script.family]
         self._editable = script.editable_roles
-        self._values = {r: script.given_fields.get(r) for r in self._layout}
+        self._values = {r: script.given_fields.get(r) for r in self.family.layout}
         self._locked = set()
         self._cursor = 0  # every canonical step before it is locked
         self._dead = False
         self.transcript = []
 
-    @property
-    def role_vocabulary(self):
-        return frozenset(self._layout)
-
     def snapshot(self):
-        """Every field is visible from problem start, including empty ones."""
-        return [(r, r, self._values[r], r in self._editable) for r in self._layout]
+        """(role, value, editable) for every field, in layout order.
 
-    def value(self, field_id):
+        Every field is visible from problem start, including empty ones.
+        """
+        return [(r, self._values[r], r in self._editable) for r in self.family.layout]
+
+    def value(self, role):
         """A field's current value, as ``snapshot`` reports it."""
-        return self._values[field_id]
+        return self._values[role]
 
     def next_step(self):
         # Locked steps stay locked, so the scan resumes where it last stopped.

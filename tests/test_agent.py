@@ -25,14 +25,19 @@ from simtutor.state import (
     MalformedTutorError,
     WorkingMemory,
 )
-from simtutor.tutors import TutorSession, gen_fraction_problem
+from simtutor.tutors import (
+    FRACTION_FAMILY,
+    TutorFamily,
+    TutorSession,
+    gen_fraction_problem,
+)
 
 
 def make_wm(*pairs, editable=()):
     return WorkingMemory([
         (role, FieldState(role=role, value=value, editable=role in editable))
         for role, value in pairs
-    ])
+    ], FRACTION_FAMILY)
 
 
 def answer_skill(skill_id, successes, attempts, required=frozenset()):
@@ -76,16 +81,16 @@ def test_perceive_box_easy_projection():
 
 def test_perceive_rejects_empty_and_unknown_snapshots():
     class EmptyTutor:
-        role_vocabulary = frozenset()
+        family = TutorFamily((), lambda fields: set(), frozenset())
 
         def snapshot(self):
             return []
 
     class AlienTutor:
-        role_vocabulary = frozenset(("num1",))
+        family = TutorFamily(("num1",), lambda fields: set(), frozenset())
 
         def snapshot(self):
-            return [("zzz", "zzz", 1, False)]
+            return [("zzz", 1, False)]
 
     with pytest.raises(MalformedTutorError):
         perceive(EmptyTutor())
@@ -103,16 +108,15 @@ def test_higher_utility_activation_fires():
     fast = answer_skill("s1", 7, 8)    # utility 0.8
     slow = answer_skill("s2", 0, 0)    # utility 0.5
     act = decide(WM, [slow, fast])
-    assert act.skill_id == "s1"
-    assert act.utility_value == pytest.approx(0.8)
+    assert act.skill is fast
 
 
 def test_utility_tie_breaks_on_attempts_then_id():
     a = answer_skill("s2", 2, 4)   # 3/6 = 0.5
     b = answer_skill("s9", 1, 2)   # 2/4 = 0.5
-    assert decide(WM, [a, b]).skill_id == "s2"
+    assert decide(WM, [a, b]).skill is a
     c = answer_skill("s1", 1, 2)
-    assert decide(WM, [b, c]).skill_id == "s1"
+    assert decide(WM, [b, c]).skill is c
 
 
 def test_decide_never_fires_a_non_maximal_activation():
@@ -130,9 +134,8 @@ def test_decide_never_fires_a_non_maximal_activation():
             assert live == []
             continue
         best = max(Fraction(s.successes + 1, s.attempts + 2) for s in skills
-                   if any(x.skill_id == s.skill_id for x in live))
-        fired = next(s for s in skills if s.skill_id == act.skill_id)
-        assert fired.utility == best
+                   if any(x.skill is s for x in live))
+        assert act.skill.utility == best
 
 
 def test_gate_predicates_exclude_mismatched_states():
@@ -155,7 +158,6 @@ def test_unbindable_procedures_do_not_activate():
 def test_activation_proposes_the_computed_value():
     act = decide(WM, [answer_skill("s1", 0, 0)])
     assert act.proposed == SAI("answer_num", "input_value", "2")
-    assert dict(act.binding)["answer_num"] == "answer_num"
 
 
 # -- apply_feedback ----------------------------------------------------------
@@ -178,7 +180,8 @@ def test_incorrect_outcome_updates_stats():
 
 def test_stale_activation_raises():
     sk = answer_skill("s1", 0, 0)
-    act = Activation("ghost", (), SAI("answer_num", "input_value", "2"), 0.5)
+    ghost = answer_skill("s1", 0, 0)  # equal, but not in the store
+    act = Activation(ghost, SAI("answer_num", "input_value", "2"))
     with pytest.raises(InvariantError):
         apply_feedback([sk], act, True, WM)
 

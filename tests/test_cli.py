@@ -150,15 +150,40 @@ def test_gen_problems_box_constraint(capsys):
     assert all("unconstrained" in json.loads(l)["tags"] for l in lines)
 
 
-def test_report_rejects_non_integer_numbers_in_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("column, token", [(1, "first"), (8, "MAYBE"), (9, "yes")],
+                         ids=["replication", "outcome", "problem_correct"])
+def test_report_rejects_non_integer_numbers_in_one_line(tmp_path, capsys,
+                                                        column, token):
     out = run_dir(tmp_path)
     lines = (out / "transactions.csv").read_text().splitlines()
     fields = lines[2].split(",")
-    fields[1] = "first"  # replication
+    fields[column] = token
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join([lines[0], lines[1], ",".join(fields)]) + "\n")
     capsys.readouterr()
     assert main(["report", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "malformed transaction row 3:" in err and "'first'" in err
+    assert "malformed transaction row 3:" in err and f"'{token}'" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (["agents"], "must be a JSON object"),
+    ([1, 2], "must be a JSON object"),
+    ({"config": "fractions"}, "must be a JSON object"),
+    ({"agents": "two"}, "must be an integer"),
+    ({"agents": 2.0}, "must be an integer"),
+    ({"seed": True}, "must be an integer"),
+    ({"agent": 2}, "unknown config key 'agent'"),
+    ({"config": {"study": "box-arrows", "agents": 2}}, "is for study 'box-arrows'"),
+], ids=["list-of-strings", "list-of-numbers", "manifest-config-not-object",
+        "string-value", "float-value", "bool-value", "unknown-key", "other-study"])
+def test_bad_config_files_exit_one_in_one_line(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    capsys.readouterr()
+    assert main(["run", "fractions", "--config", str(cfg), "--replications", "1",
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "x").exists()

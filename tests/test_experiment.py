@@ -1,10 +1,13 @@
 """Sequencing, study runs, log schema, determinism, and replay."""
 from __future__ import annotations
 
+import csv
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simtutor.experiment import (
     COLUMNS,
@@ -212,7 +215,37 @@ def test_schema_validation_rejects_corruption(tmp_path, small_fraction_log):
         read_transactions(tmp_path / "bad_rows.csv")
 
 
-def test_record_row_round_trip():
-    rec = TrialRecord("a001", 2, "blocked", "tutor", "p1", "add_diff", 3,
-                      "conv_den1", "ERROR", False)
-    assert TrialRecord.from_row(rec.as_row()) == rec
+# Any text a CSV file can hold; lone surrogates cannot be encoded.
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+records = st.builds(
+    TrialRecord, agent_id=_texts, replication=st.integers(-5, 10**6),
+    condition=_texts, phase=_texts, problem_id=_texts, problem_type=_texts,
+    opportunity=st.integers(-5, 10**6), step_id=_texts,
+    outcome=st.sampled_from(("CORRECT", "ERROR", "HINT")),
+    problem_correct=st.booleans())
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    """One file that every generated example overwrites."""
+    return tmp_path_factory.mktemp("logs") / "transactions.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(records, max_size=6))
+def test_record_row_round_trip(log_path, rows):
+    write_transactions(log_path, rows)
+    assert read_transactions(log_path) == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=records, token=_texts.filter(lambda t: t not in ("0", "1")))
+def test_problem_correct_other_than_0_or_1_is_rejected(log_path, record, token):
+    with open(log_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COLUMNS)
+        writer.writerow(record.as_row()[:9] + (token,))
+    with pytest.raises(ConfigError, match="malformed transaction row") as err:
+        read_transactions(log_path)
+    assert repr(token) in str(err.value)

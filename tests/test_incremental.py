@@ -32,9 +32,9 @@ from simtutor.state import (
     render_value,
 )
 from simtutor.tutors import (
-    BOX_FIELDS,
+    BOX_FAMILY,
     FRACTION_EDITABLE,
-    FRACTION_FIELDS,
+    FRACTION_FAMILY,
     FRACTION_TYPES,
     TutorSession,
     gen_box_problem,
@@ -43,10 +43,8 @@ from simtutor.tutors import (
 
 
 def assert_same_memory(derived, fresh):
-    assert derived.order == fresh.order
-    assert [derived.fields[f] for f in derived.order] == \
-        [fresh.fields[f] for f in fresh.order]
-    assert derived.by_role == fresh.by_role
+    assert list(derived.fields.items()) == list(fresh.fields.items())
+    assert derived.family is fresh.family
     assert derived.predicates == fresh.predicates
     assert derived.values == fresh.values
     assert derived.open_roles == fresh.open_roles
@@ -85,8 +83,7 @@ def test_derived_memory_equals_fresh_perception(script, mode, actions):
             break
         before = perceive(session)
         if action == "demo" and mode == "training":
-            field_id, _demo = session.demonstrate()
-            changed = field_id
+            changed, _demo = session.demonstrate()
         else:
             if mode == "training":
                 step = session.next_step()
@@ -120,26 +117,28 @@ def _field_values(role):
 
 @st.composite
 def memories_and_changes(draw):
-    layout = draw(st.sampled_from((FRACTION_FIELDS, BOX_FIELDS)))
-    editable = (FRACTION_EDITABLE if layout is FRACTION_FIELDS
+    family = draw(st.sampled_from((FRACTION_FAMILY, BOX_FAMILY)))
+    layout = family.layout
+    editable = (FRACTION_EDITABLE if family is FRACTION_FAMILY
                 else draw(st.frozensets(st.sampled_from(layout))))
     values = {r: draw(_field_values(r)) for r in layout}
     role = draw(st.sampled_from(layout))
-    return layout, editable, values, role, draw(_field_values(role))
+    return family, editable, values, role, draw(_field_values(role))
 
 
-def _memory(layout, editable, values):
-    return WorkingMemory([(r, FieldState(r, values[r], r in editable)) for r in layout])
+def _memory(family, editable, values):
+    return WorkingMemory([(r, FieldState(r, values[r], r in editable))
+                          for r in family.layout], family)
 
 
 @settings(max_examples=500, deadline=None)
 @given(memories_and_changes())
 def test_one_field_update_equals_rebuilding(case):
-    layout, editable, values, role, value = case
-    wm = _memory(layout, editable, values)
+    family, editable, values, role, value = case
+    wm = _memory(family, editable, values)
     derived = wm.with_value(role, value)
-    assert_same_memory(derived, _memory(layout, editable, {**values, role: value}))
-    assert_same_memory(wm, _memory(layout, editable, values))
+    assert_same_memory(derived, _memory(family, editable, {**values, role: value}))
+    assert_same_memory(wm, _memory(family, editable, values))
 
 
 # -- compiled procedures ------------------------------------------------------

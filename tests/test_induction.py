@@ -22,6 +22,7 @@ from simtutor.induction import (
     sexpr,
 )
 from simtutor.state import SAI, FieldState, InvariantError, WorkingMemory
+from simtutor.tutors import FRACTION_FAMILY
 
 from _oracles import brute_explanations
 
@@ -30,7 +31,7 @@ def make_wm(*pairs, editable=()):
     return WorkingMemory([
         (role, FieldState(role=role, value=value, editable=role in editable))
         for role, value in pairs
-    ])
+    ], FRACTION_FAMILY)
 
 
 def tokens(exprs):

@@ -13,10 +13,12 @@ from simtutor.state import (
     WorkingMemory,
     render_value,
 )
+from simtutor.tutors import BOX_FAMILY, FRACTION_FAMILY
 
 
-def make_wm(*pairs):
-    return WorkingMemory([(r, FieldState(role=r, value=v)) for r, v in pairs])
+def make_wm(*pairs, family=None):
+    return WorkingMemory([(r, FieldState(role=r, value=v)) for r, v in pairs],
+                         family)
 
 
 def test_sai_input_required_iff_entering_a_value():
@@ -39,10 +41,9 @@ def test_render_value_uses_integer_tokens_when_whole():
 def test_duplicate_ids_or_roles_are_malformed():
     with pytest.raises(MalformedTutorError):
         WorkingMemory([("a", FieldState(role="a", value=1)),
-                       ("a", FieldState(role="b", value=2))])
-    with pytest.raises(MalformedTutorError):
-        WorkingMemory([("a", FieldState(role="x", value=1)),
-                       ("b", FieldState(role="x", value=2))])
+                       ("a", FieldState(role="a", value=2))])
+    with pytest.raises(MalformedTutorError):  # a key is its state's role
+        WorkingMemory([("a", FieldState(role="x", value=1))])
     with pytest.raises(MalformedTutorError):
         WorkingMemory([])
 
@@ -61,7 +62,8 @@ def test_numeric_leaves_skip_symbols_checks_and_blanks():
 
 def test_predicate_snapshot_covers_the_declared_vocabulary():
     wm = make_wm(("num1", 1), ("den1", 4), ("op", "+"), ("num2", 2),
-                 ("den2", 4), ("convert_check", True), ("answer_num", None))
+                 ("den2", 4), ("convert_check", True), ("answer_num", None),
+                 family=FRACTION_FAMILY)
     preds = wm.predicates
     assert ("filled", "num1") in preds
     assert ("empty", "answer_num") in preds
@@ -69,10 +71,15 @@ def test_predicate_snapshot_covers_the_declared_vocabulary():
     assert ("denominators_equal",) in preds
     assert ("denominators_differ",) not in preds
     assert ("box_checked",) in preds
+    # Without a tutor family only the filled/empty literals are true.
+    bare = make_wm(("den1", 4), ("op", "+"), ("den2", 4))
+    assert bare.predicates == {("filled", "den1"), ("filled", "op"),
+                               ("filled", "den2")}
 
 
 def test_row_operator_predicates_for_the_box_interface():
     wm = make_wm(("r1_a", 2), ("r1_op", "/"), ("r1_b", 3),
-                 ("r2_a", 7), ("r2_op", "-"), ("r2_b", None), ("target", 3))
+                 ("r2_a", 7), ("r2_op", "-"), ("r2_b", None), ("target", 3),
+                 family=BOX_FAMILY)
     assert ("op_is", "r1_op", "/") in wm.predicates
     assert ("op_is", "r2_op", "-") in wm.predicates

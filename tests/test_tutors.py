@@ -234,7 +234,7 @@ def test_posttest_all_steps_correct_is_judged_correct():
 def test_conversion_fields_visible_in_every_session():
     for ptype in ("add_same", "add_diff", "multiply"):
         session = TutorSession(_script(ptype), "training")
-        roles = [r for _f, r, _v, _e in session.snapshot()]
+        roles = [r for r, _v, _e in session.snapshot()]
         assert {"conv_num1", "conv_den1", "conv_num2", "conv_den2"} <= set(roles)
 
 
