@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ class DesignError(ValueError):
     """The design matrix is rank deficient."""
 
 
-@dataclass(frozen=True)
-class ProblemOutcome:
+class ProblemOutcome(NamedTuple):
     replication: int
     agent_id: str
     condition: str
@@ -86,20 +86,18 @@ def problem_outcomes(records, phase: str = "tutor"):
     seen = set()
     out = []
     positions: dict = {}
-    for rec in records:
-        if rec.phase != phase:
+    for (agent_id, replication, condition, rec_phase, problem_id, problem_type,
+         opportunity, _step, _outcome, correct) in records:
+        if rec_phase != phase:
             continue
-        key = (rec.replication, rec.agent_id, rec.problem_id)
+        key = (replication, agent_id, problem_id)
         if key in seen:
             continue
         seen.add(key)
-        agent_key = (rec.replication, rec.agent_id)
-        positions[agent_key] = positions.get(agent_key, 0) + 1
-        out.append(ProblemOutcome(
-            replication=rec.replication, agent_id=rec.agent_id,
-            condition=rec.condition, problem_type=rec.problem_type,
-            opportunity=rec.opportunity, position=positions[agent_key],
-            correct=rec.problem_correct))
+        agent_key = (replication, agent_id)
+        position = positions[agent_key] = positions.get(agent_key, 0) + 1
+        out.append(ProblemOutcome(replication, agent_id, condition, problem_type,
+                                  opportunity, position, correct))
     return out
 
 

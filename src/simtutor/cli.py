@@ -33,7 +33,7 @@ from .experiment import (
     run_study,
     write_transactions,
 )
-from .state import ConfigError, GenerationError
+from .state import SIMULATION_ERRORS, ConfigError
 from .tutors import gen_box_problem, gen_fraction_problem
 
 STUDY_NAMES = {"fractions": "fractions", "box-arrows": "box_arrows"}
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"simtutor: config error: {exc}", file=sys.stderr)
         return 1
-    except (GenerationError, SeparationError, OSError) as exc:
+    except (*SIMULATION_ERRORS, SeparationError, OSError) as exc:
         print(f"simtutor: failure: {exc}", file=sys.stderr)
         return 2
 

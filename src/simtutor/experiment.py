@@ -13,9 +13,10 @@ import json
 import multiprocessing
 import random
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .agent import Agent, run_problem
-from .state import ConfigError
+from .state import SIMULATION_ERRORS, ConfigError
 from .tutors import (
     ProblemScript,
     TutorSession,
@@ -32,9 +33,8 @@ COLUMNS = ("agent_id", "replication", "condition", "phase", "problem_id",
            "problem_type", "opportunity", "step_id", "outcome", "problem_correct")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One per-step transaction row."""
+class TrialRecord(NamedTuple):
+    """One per-step transaction row, in ``COLUMNS`` order."""
 
     agent_id: str
     replication: int
@@ -48,22 +48,26 @@ class TrialRecord:
     problem_correct: bool
 
     def as_row(self):
-        return (self.agent_id, str(self.replication), self.condition, self.phase,
-                self.problem_id, self.problem_type, str(self.opportunity),
-                self.step_id, self.outcome, "1" if self.problem_correct else "0")
+        (agent_id, replication, condition, phase, problem_id, problem_type,
+         opportunity, step_id, outcome, problem_correct) = self
+        return (agent_id, str(replication), condition, phase, problem_id,
+                problem_type, str(opportunity), step_id, outcome,
+                "1" if problem_correct else "0")
 
     @staticmethod
     def from_row(row):
-        if row[8] not in ("CORRECT", "ERROR", "HINT"):
-            raise ValueError(f"unknown outcome {row[8]!r}")
-        if row[9] not in ("0", "1"):
-            raise ValueError(f"problem_correct must be 0 or 1, not {row[9]!r}")
-        return TrialRecord(
-            agent_id=row[0], replication=int(row[1]), condition=row[2],
-            phase=row[3], problem_id=row[4], problem_type=row[5],
-            opportunity=int(row[6]), step_id=row[7], outcome=row[8],
-            problem_correct=row[9] == "1",
-        )
+        if len(row) != len(COLUMNS):
+            raise ValueError(f"expected {len(COLUMNS)} columns, got {row!r}")
+        (agent_id, replication, condition, phase, problem_id, problem_type,
+         opportunity, step_id, outcome, problem_correct) = row
+        if outcome not in ("CORRECT", "ERROR", "HINT"):
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if problem_correct not in ("0", "1"):
+            raise ValueError(
+                f"problem_correct must be 0 or 1, not {problem_correct!r}")
+        return TrialRecord(agent_id, int(replication), condition, phase,
+                           problem_id, problem_type, int(opportunity), step_id,
+                           outcome, problem_correct == "1")
 
 
 @dataclass(frozen=True)
@@ -200,17 +204,15 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
         for script in scripts:
             session = TutorSession(script, mode)
             result = run_problem(agent, session)
-            opp = opportunities.get(script.problem_type, 0)
+            problem_id, problem_type = script.problem_id, script.problem_type
+            opp = opportunities.get(problem_type, 0)
             if log:
+                correct = result.correct
                 for step_role, outcome in result.steps:
                     rows.append(TrialRecord(
-                        agent_id=agent_id, replication=replication,
-                        condition=condition, phase=phase,
-                        problem_id=script.problem_id,
-                        problem_type=script.problem_type,
-                        opportunity=opp, step_id=step_role, outcome=outcome,
-                        problem_correct=result.correct))
-            opportunities[script.problem_type] = opp + 1
+                        agent_id, replication, condition, phase, problem_id,
+                        problem_type, opp, step_role, outcome, correct))
+            opportunities[problem_type] = opp + 1
 
     run_block(pretrain, "tutor", "training", log=False)
     run_block(training, "tutor", "training")
@@ -220,8 +222,12 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
 
 def _worker(args):
     config, replication, agent_index, problems = args
-    return replication, agent_index, run_agent(config, replication, agent_index,
-                                               problems)
+    try:
+        rows = run_agent(config, replication, agent_index, problems)
+    except SIMULATION_ERRORS as exc:
+        raise type(exc)(f"replication {replication}, agent {agent_index}: "
+                        f"{exc}") from exc
+    return replication, agent_index, rows
 
 
 def run_study(config: ExperimentConfig, problem_sets=None):
@@ -299,14 +305,9 @@ def read_transactions(path):
         header = next(reader, None)
         if header is None or tuple(header) != COLUMNS:
             raise ConfigError(f"unexpected transaction header in {path}")
-        records = []
-        for row in reader:
-            if len(row) != len(COLUMNS):
-                raise ConfigError(
-                    f"malformed transaction row {reader.line_num}: {row!r}")
-            try:
-                records.append(TrialRecord.from_row(row))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"malformed transaction row {reader.line_num}: {exc}") from None
-    return records
+        try:
+            return list(map(TrialRecord.from_row, reader))
+        except ValueError as exc:
+            # map reads one row at a time, so line_num is the failing row's.
+            raise ConfigError(
+                f"malformed transaction row {reader.line_num}: {exc}") from None

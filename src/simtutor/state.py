@@ -40,6 +40,11 @@ class ConfigError(ValueError):
     """Invalid experiment or CLI configuration."""
 
 
+# What a simulation run can raise; the command line exits 2 on each.
+SIMULATION_ERRORS = (GenerationError, InvariantError, MalformedTutorError,
+                     ProtocolError)
+
+
 class FieldState(NamedTuple):
     """One interface field: semantic role, current value, editability.
 

@@ -88,3 +88,25 @@ def brute_candidates(values, answer):
             else:
                 seen.add((op, a, b))
     return len(seen)
+
+
+def reference_problem_outcomes(records, phase):
+    """Problem outcomes straight from the definition, in quadratic time.
+
+    A problem is a (replication, agent, problem) key of a row in ``phase``;
+    its first row supplies the fields, and its position is the number of
+    distinct problems that agent has shown in the phase up to that row.
+    Returns plain tuples in ``analytics.ProblemOutcome`` field order.
+    """
+    rows = [r for r in records if r.phase == phase]
+    out = []
+    for i, rec in enumerate(rows):
+        key = (rec.replication, rec.agent_id, rec.problem_id)
+        if any((e.replication, e.agent_id, e.problem_id) == key for e in rows[:i]):
+            continue
+        position = len({e.problem_id for e in rows[:i + 1]
+                        if (e.replication, e.agent_id) == key[:2]})
+        out.append((rec.replication, rec.agent_id, rec.condition,
+                    rec.problem_type, rec.opportunity, position,
+                    rec.problem_correct))
+    return out

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simtutor.analytics import (
     DesignError,
@@ -24,6 +26,8 @@ from simtutor.analytics import (
 )
 from simtutor.experiment import TrialRecord
 from simtutor.state import ConfigError
+
+from _oracles import reference_problem_outcomes
 
 
 def record(agent, problem, correct, *, ptype="add_same", condition="blocked",
@@ -106,6 +110,26 @@ def test_curve_csv_rows_have_the_documented_header():
     assert header == ("condition", "position", "mean_error", "ci_low", "ci_high", "n")
 
 
+# Few agents, problems and phases, so keys repeat, problems interleave and
+# phases mix within one list.
+_colliding_records = st.builds(
+    TrialRecord, agent_id=st.sampled_from(("a0", "a1")),
+    replication=st.integers(0, 1), condition=st.sampled_from(("blocked", "interleaved")),
+    phase=st.sampled_from(("tutor", "posttest")),
+    problem_id=st.sampled_from(("p0", "p1", "p2")),
+    problem_type=st.sampled_from(("add_same", "multiply")),
+    opportunity=st.integers(0, 3), step_id=st.sampled_from(("answer_num", "done")),
+    outcome=st.sampled_from(("CORRECT", "ERROR", "HINT")),
+    problem_correct=st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_colliding_records, max_size=30))
+def test_problem_outcomes_match_the_reference(rows):
+    for phase in ("tutor", "posttest"):
+        assert problem_outcomes(rows, phase) == reference_problem_outcomes(rows, phase)
+
+
 # -- regression engine -----------------------------------------------------------
 
 def _synthetic(n, beta, seed=0):
@@ -140,6 +164,27 @@ def test_gradient_vanishes_at_the_solution():
     X, y = _synthetic(5_000, (0.3, -0.7), seed=3)
     fit = fit_logit(X, y, ["Intercept", "x"])
     beta = np.array([fit.terms["Intercept"].coef, fit.terms["x"].coef])
+    assert np.max(np.abs(score(X, y, beta))) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), per_p=st.integers(3, 15),
+       copies=st.integers(2, 5))
+def test_gradient_vanishes_on_random_non_separable_designs(seed, p, per_p, copies):
+    rng = np.random.default_rng(seed)
+    n = p * per_p
+    base = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    assume(np.linalg.cond(base) < 30)  # full rank, and not nearly singular
+    beta_true = rng.normal(scale=1.5, size=p)
+    p_true = 1.0 / (1.0 + np.exp(-(base @ beta_true)))
+    # Each design row appears once failed and once solved, so no hyperplane
+    # separates the outcomes; the other copies follow a logistic model.
+    drawn = [(rng.random(n) < p_true).astype(float) for _ in range(copies - 2)]
+    X = np.vstack([base] * copies)
+    y = np.concatenate([np.zeros(n), np.ones(n), *drawn])
+    fit = fit_logit(X, y, [f"x{j}" for j in range(p)])
+    beta = np.array([est.coef for est in fit.terms.values()])
+    assert fit.converged
     assert np.max(np.abs(score(X, y, beta))) < 1e-6
 
 

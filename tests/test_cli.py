@@ -7,6 +7,12 @@ import pytest
 
 from simtutor.cli import main
 from simtutor.experiment import read_transactions
+from simtutor.state import (
+    GenerationError,
+    InvariantError,
+    MalformedTutorError,
+    ProtocolError,
+)
 
 
 def run_dir(tmp_path, *extra):
@@ -65,16 +71,20 @@ def test_usage_errors_exit_one(capsys):
     assert err.value.code == 1
 
 
-def test_simulation_failures_exit_two(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [GenerationError, ProtocolError, InvariantError,
+                                   MalformedTutorError],
+                         ids=lambda error: error.__name__)
+def test_simulation_failures_exit_two(tmp_path, monkeypatch, capsys, error):
     from simtutor import cli
-    from simtutor.state import GenerationError
 
     def explode(config):
-        raise GenerationError("no item found")
+        raise error("no item found")
 
     monkeypatch.setattr(cli, "run_study", explode)
+    capsys.readouterr()
     assert main(["run", "fractions", "--agents", "2", "--replications", "1",
                  "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "simtutor: failure: no item found\n"
 
 
 def test_version_flag():

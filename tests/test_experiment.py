@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import pickle
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simtutor import experiment
 from simtutor.experiment import (
     COLUMNS,
     TrialRecord,
@@ -22,7 +24,7 @@ from simtutor.experiment import (
     sequence_fractions,
     write_transactions,
 )
-from simtutor.state import ConfigError
+from simtutor.state import ConfigError, ProtocolError
 
 
 # -- sequencing ---------------------------------------------------------------
@@ -153,6 +155,23 @@ def test_replaying_a_persisted_problem_file_reproduces_the_log(tmp_path):
     assert direct == replayed
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_cell_names_itself(monkeypatch, jobs):
+    run_problem = experiment.run_problem
+
+    def fail_one_cell(agent, session):
+        if session.script.problem_id.startswith("fractions-r1-a002-"):
+            raise ProtocolError("training session failed to progress")
+        return run_problem(agent, session)
+
+    monkeypatch.setattr(experiment, "run_problem", fail_one_cell)
+    cfg = fractions_config(n_agents=4, replications=2, seed=3, jobs=jobs)
+    with pytest.raises(ProtocolError) as err:
+        run_study(cfg)
+    assert str(err.value) == \
+        "replication 1, agent 2: training session failed to progress"
+
+
 def test_box_study_counts_and_hard_filter():
     cfg = box_arrows_config(n_agents=4, replications=1, seed=2)
     rows = run_study(cfg)
@@ -237,6 +256,15 @@ def log_path(tmp_path_factory):
 def test_record_row_round_trip(log_path, rows):
     write_transactions(log_path, rows)
     assert read_transactions(log_path) == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(records, max_size=6))
+def test_records_survive_pickling(rows):
+    # What a pool worker sends back to the parent.
+    copies = pickle.loads(pickle.dumps(rows))
+    assert copies == rows
+    assert all(type(r) is TrialRecord for r in copies)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simtutor.state import SAI, ConfigError, ProtocolError
 from simtutor.tutors import (
+    FRACTION_TYPES,
     ProblemScript,
     TutorSession,
     ambiguity_count,
@@ -238,8 +241,17 @@ def test_conversion_fields_visible_in_every_session():
         assert {"conv_num1", "conv_den1", "conv_num2", "conv_den2"} <= set(roles)
 
 
-def test_script_records_round_trip():
-    rng = random.Random(10)
-    for i in range(20):
-        s = gen_box_problem("hard", "constrained", rng, f"p{i}")
-        assert ProblemScript.from_record(s.to_record()) == s
+_KINDS = ([("fraction", ptype) for ptype in FRACTION_TYPES]
+          + [(difficulty, constraint) for difficulty in ("easy", "hard")
+             for constraint in ("constrained", "unconstrained")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**64 - 1))
+def test_script_records_round_trip(kind, seed):
+    rng = random.Random(seed)
+    if kind[0] == "fraction":
+        s = gen_fraction_problem(kind[1], rng, f"p{seed}")
+    else:
+        s = gen_box_problem(kind[0], kind[1], rng, f"p{seed}")
+    assert ProblemScript.from_record(s.to_record()) == s
