@@ -7,7 +7,7 @@ nothing and are deterministic given the same experience stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .induction import Skill, induce_from_demo, refine_conditions
@@ -121,7 +121,7 @@ class ProblemResult:
     """Outcome of one problem: per-step transactions plus overall correctness."""
 
     correct: bool
-    steps: list = field(default_factory=list)  # (step role, CORRECT|ERROR|HINT)
+    steps: list  # (step role, CORRECT|ERROR|HINT)
 
 
 class Agent:
@@ -132,18 +132,9 @@ class Agent:
         self.skills: list[Skill] = []
         self._skill_count = 0
 
-    def _new_skill_id(self) -> str:
+    def new_skill_id(self) -> str:
         self._skill_count += 1
         return f"s{self._skill_count:04d}"
-
-    def decide(self, wm, excluded=frozenset()):
-        return decide(wm, self.skills, excluded)
-
-    def apply_feedback(self, activation, correct, wm):
-        return apply_feedback(self.skills, activation, correct, wm)
-
-    def induce(self, wm, demo):
-        return induce_from_demo(self.skills, wm, demo, self._new_skill_id)
 
     def skills_to_dicts(self):
         return [sk.to_dict() for sk in self.skills]
@@ -152,61 +143,44 @@ class Agent:
 def run_problem(agent: Agent, session) -> ProblemResult:
     """Drive one agent through one tutor problem.
 
-    Training mode: fire activations, retry failed steps with the next best
-    untried activation, fall back to a demonstration when none remain, and
-    learn from every outcome.  Posttest mode: no feedback reaches the agent;
-    the first wrong step or demonstration request ends the problem as
-    incorrect.
+    Each step the agent fires its best activation or, when nothing matches,
+    requests a demonstration.  Training mode: learn from every outcome, retry
+    a failed step with the next best untried activation, and learn from each
+    demonstration.  Posttest mode: no feedback reaches the agent, and the
+    first wrong step or demonstration request ends the problem.  A problem is
+    correct when every step was.
     """
-    result = ProblemResult(correct=True)
+    training = session.mode == "training"
+    steps = []
+    excluded = set()
     # Perceived once; a step that changes the interface changes exactly one
     # field, so each later state is derived from the one before.  Feedback
     # and induction always see the state the step was taken in.
     wm = perceive(session)
-    if session.mode == "training":
-        excluded = set()
-        guard = 0
-        while not session.complete:
-            guard += 1
-            if guard > 10_000:
-                raise ProtocolError("training session failed to progress")
-            step = session.next_step()
-            act = decide(wm, agent.skills, excluded)
-            if act is None:
-                role, demo = session.demonstrate()
-                result.steps.append((step.role, HINT))
-                result.correct = False
-                agent.induce(wm, demo)
-                excluded.clear()
-                wm = wm.with_value(role, session.value(role))
-            else:
-                outcome = session.submit(act.proposed)
-                if outcome == "correct":
-                    result.steps.append((step.role, CORRECT))
-                    agent.apply_feedback(act, True, wm)
-                    excluded.clear()
-                    role = act.proposed.selection
-                    wm = wm.with_value(role, session.value(role))
-                else:
-                    result.steps.append((step.role, ERROR))
-                    result.correct = False
-                    agent.apply_feedback(act, False, wm)
-                    excluded.add(act.skill.skill_id)
-        return result
-
-    # Posttest: hints and feedback are unavailable; skills stay frozen.
-    while session.active and not session.complete:
-        step = session.next_step()
-        act = decide(wm, agent.skills)
+    guard = 0
+    while (step := session.next_step()) is not None:
+        guard += 1
+        if guard > 10_000:
+            raise ProtocolError(f"{session.mode} session failed to progress")
+        act = decide(wm, agent.skills, excluded)
         if act is None:
-            result.steps.append((step.role, HINT))
-            session.abandon()
-            break
-        session.submit(act.proposed)
-        outcome = session.transcript[-1][1]
-        result.steps.append((step.role, outcome))
-        if outcome == CORRECT:
+            steps.append((step.role, HINT))
+            if not training:
+                break
+            role, demo = session.demonstrate()
+            induce_from_demo(agent.skills, wm, demo, agent.new_skill_id)
+        else:
+            outcome = session.submit(act.proposed)
+            steps.append((step.role, outcome))
+            if training:
+                apply_feedback(agent.skills, act, outcome == CORRECT, wm)
+            if outcome == ERROR:
+                if not training:
+                    break
+                excluded.add(act.skill.skill_id)
+                continue
             role = act.proposed.selection
-            wm = wm.with_value(role, session.value(role))
-    result.correct = session.judged_correct
-    return result
+        excluded.clear()
+        wm = wm.with_value(role, session.value(role))
+    return ProblemResult(all(outcome == CORRECT for _role, outcome in steps),
+                         steps)

@@ -26,7 +26,7 @@ class SeparationError(RuntimeError):
 
 
 class DesignError(ValueError):
-    """The design matrix is rank deficient."""
+    """The design matrix is empty or rank deficient."""
 
 
 class ProblemOutcome(NamedTuple):
@@ -101,19 +101,13 @@ def problem_outcomes(records, phase: str = "tutor"):
     return out
 
 
-def _interval(p_hat: float, n: int, kind: str):
-    if kind == "wilson":
-        z = 1.959963984540054
-        denom = 1 + z * z / n
-        center = (p_hat + z * z / (2 * n)) / denom
-        half = z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
-        return center - half, center + half
+def _interval(p_hat: float, n: int):
     se = math.sqrt(p_hat * (1 - p_hat) / n)
     return max(0.0, p_hat - 1.959963984540054 * se), \
         min(1.0, p_hat + 1.959963984540054 * se)
 
 
-def learning_curve(records, phase: str = "tutor", interval: str = "normal"):
+def learning_curve(records, phase: str = "tutor"):
     """Mean problem-level error per (condition, position), with 95% CIs."""
     problems = problem_outcomes(records, phase)
     if not problems:
@@ -125,7 +119,7 @@ def learning_curve(records, phase: str = "tutor", interval: str = "normal"):
     for (condition, position) in sorted(buckets):
         errs = buckets[(condition, position)]
         mean = sum(errs) / len(errs)
-        low, high = _interval(mean, len(errs), interval)
+        low, high = _interval(mean, len(errs))
         points.append(CurvePoint(condition, position, mean, low, high, len(errs)))
     return points
 
@@ -223,7 +217,7 @@ def build_design(problems, terms):
     """Design matrix from problem outcomes. Reference levels: the blocked /
     constrained condition and the different-denominator addition type."""
     if not problems:
-        raise ConfigError("no problem outcomes to fit")
+        raise DesignError("no problem outcomes to fit")
     names = ["Intercept"]
     cols = [np.ones(len(problems))]
     conditions = sorted({p.condition for p in problems})

@@ -28,6 +28,9 @@ FRACTIONS_TRAINING = {"add_same": 10, "add_diff": 14, "multiply": 24}
 FRACTIONS_POSTTEST = {"multiply": 4, "add_same": 2, "add_diff": 2}
 BOX_TRAINING = {"box_easy": 16, "box_hard": 16}
 BOX_PRETRAIN_EASY = 16
+# Each study's two conditions; agents alternate between them.
+CONDITIONS = {"fractions": ("blocked", "interleaved"),
+              "box_arrows": ("constrained", "unconstrained")}
 
 COLUMNS = ("agent_id", "replication", "condition", "phase", "problem_id",
            "problem_type", "opportunity", "step_id", "outcome", "problem_correct")
@@ -76,7 +79,6 @@ class ExperimentConfig:
     n_agents: int
     replications: int = 10
     seed: int = 7
-    conditions: tuple = ()
     jobs: int = 1
 
     def validate(self):
@@ -88,20 +90,16 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if len(self.conditions) != 2:
-            raise ConfigError("exactly two conditions are required")
         return self
 
 
 def fractions_config(**overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(study="fractions", n_agents=78,
-                           conditions=("blocked", "interleaved"))
+    cfg = ExperimentConfig(study="fractions", n_agents=78)
     return replace(cfg, **overrides).validate()
 
 
 def box_arrows_config(**overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(study="box_arrows", n_agents=202,
-                           conditions=("constrained", "unconstrained"))
+    cfg = ExperimentConfig(study="box_arrows", n_agents=202)
     return replace(cfg, **overrides).validate()
 
 
@@ -160,7 +158,7 @@ def _box_curriculum(constraint: str, rng, id_prefix: str):
 
 
 def agent_condition(config: ExperimentConfig, agent_index: int) -> str:
-    return config.conditions[agent_index % 2]
+    return CONDITIONS[config.study][agent_index % 2]
 
 
 def _agent_pretrained(agent_index: int) -> bool:

@@ -1,10 +1,10 @@
 """Tutor environments: fraction arithmetic and box-and-arrows.
 
 A ProblemScript fixes an item's givens, its ordered canonical steps, and the
-expected entries.  A TutorSession applies the step contract: training mode
-gives correctness feedback, locks correct entries, and can demonstrate the
-next canonical step; posttest mode records silently and judges the problem
-by the all-steps-correct rule.
+expected entries.  A TutorSession applies the step contract: every submitted
+step is judged CORRECT (and locked in) or ERROR.  Training mode accepts only
+the next canonical step and can demonstrate it; posttest mode accepts the
+steps in any order, with done last, and its first error ends the attempt.
 """
 from __future__ import annotations
 
@@ -146,7 +146,6 @@ class TutorSession:
         self._locked = set()
         self._cursor = 0  # every canonical step before it is locked
         self._dead = False
-        self.transcript = []
 
     def snapshot(self):
         """(role, value, editable) for every field, in layout order.
@@ -160,6 +159,7 @@ class TutorSession:
         return self._values[role]
 
     def next_step(self):
+        """The first canonical step not yet locked, or None when all are."""
         # Locked steps stay locked, so the scan resumes where it last stopped.
         steps = self.script.canonical_steps
         i = self._cursor
@@ -169,16 +169,8 @@ class TutorSession:
         return steps[i] if i < len(steps) else None
 
     @property
-    def complete(self) -> bool:
-        return self.next_step() is None
-
-    @property
-    def active(self) -> bool:
-        return not self._dead
-
-    @property
     def judged_correct(self) -> bool:
-        return self.complete and not self._dead
+        return self.next_step() is None and not self._dead
 
     def _matches(self, step: CanonicalStep, sai: SAI) -> bool:
         if sai.action != step.action:
@@ -196,32 +188,30 @@ class TutorSession:
             self._values[step.role] = True
 
     def submit(self, sai: SAI) -> str:
-        if self._dead or self.complete:
+        """Judge one step: ``CORRECT`` locks it in, ``ERROR`` changes no field.
+
+        Training accepts only the next canonical step.  Posttest accepts any
+        unlocked step, with ``done`` last, and an ``ERROR`` ends the attempt.
+        """
+        step = self.next_step()
+        if self._dead or step is None:
             raise ProtocolError("session is not accepting steps")
         if self.mode == "training":
             if sai.selection in self._locked:
                 raise ProtocolError(f"field {sai.selection!r} is locked")
-            step = self.next_step()
-            if sai.selection == step.role and self._matches(step, sai):
-                self._lock(step, sai)
-                self.transcript.append((sai, CORRECT))
-                return "correct"
-            self.transcript.append((sai, ERROR))
-            return "incorrect"
-        # Posttest: silent recording; any wrong step ends the attempt.
-        step = next((s for s in self.script.canonical_steps
-                     if s.role == sai.selection and s.role not in self._locked), None)
-        ok = step is not None and self._matches(step, sai)
-        if ok and step.action == PRESS_DONE:
-            others = [s for s in self.script.canonical_steps if s.role != step.role]
-            ok = all(s.role in self._locked for s in others)
-        if ok:
-            self._lock(step, sai)
-            self.transcript.append((sai, CORRECT))
+            ok = sai.selection == step.role and self._matches(step, sai)
         else:
-            self.transcript.append((sai, ERROR))
-            self._dead = True
-        return "recorded"
+            steps = self.script.canonical_steps
+            step = next((s for s in steps if s.role == sai.selection
+                         and s.role not in self._locked), None)
+            ok = step is not None and self._matches(step, sai)
+            if ok and step.action == PRESS_DONE:
+                ok = all(s.role in self._locked for s in steps if s.role != step.role)
+            self._dead = not ok
+        if not ok:
+            return ERROR
+        self._lock(step, sai)
+        return CORRECT
 
     def demonstrate(self):
         """Provide (and lock in) the next canonical step. Training only."""
@@ -232,19 +222,7 @@ class TutorSession:
             raise ProtocolError("no step left to demonstrate")
         sai = SAI(step.role, step.action, step.expected)
         self._lock(step, sai)
-        self.transcript.append((sai, "DEMO"))
         return step.role, sai
-
-    def abandon(self):
-        self._dead = True
-
-
-def replay_canonical(session: TutorSession):
-    """Submit every canonical step in order; returns the outcome list."""
-    outcomes = []
-    for step in session.script.canonical_steps:
-        outcomes.append(session.submit(SAI(step.role, step.action, step.expected)))
-    return outcomes
 
 
 # --------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
                               conditions=frozenset(), required=frozenset()))
     session = TutorSession(script, "training")
     result = run_problem(agent, session)
-    assert session.complete
+    assert session.next_step() is None
     assert result.correct is False
     outcomes = [o for _s, o in result.steps]
     assert "ERROR" in outcomes and HINT in outcomes

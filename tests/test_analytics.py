@@ -93,12 +93,6 @@ def test_curve_counts_every_agent_at_every_position():
     assert all(p.n == 7 for p in learning_curve(rows))
 
 
-def test_wilson_interval_option():
-    rows = [record(f"a{i}", "p0", i < 9) for i in range(10)]
-    point = learning_curve(rows, interval="wilson")[0]
-    assert 0.0 < point.ci_low < point.mean_error < point.ci_high < 1.0
-
-
 def test_curve_requires_rows_for_the_phase():
     with pytest.raises(ConfigError):
         learning_curve([record("a0", "p0", True)], phase="posttest")

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from simtutor.cli import main
-from simtutor.experiment import read_transactions
+from simtutor.experiment import TrialRecord, read_transactions, write_transactions
 from simtutor.state import (
     GenerationError,
     InvariantError,
@@ -197,3 +197,28 @@ def test_bad_config_files_exit_one_in_one_line(tmp_path, capsys, content, messag
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "x").exists()
+
+
+def _write_log(path, rows):
+    write_transactions(path, [TrialRecord("a000", 0, condition, "tutor", problem_id,
+                                          problem_type, 0, step, outcome, False)
+                              for condition, problem_id, problem_type, step, outcome
+                              in rows])
+
+
+@pytest.mark.parametrize("rows, empty_model", [
+    ([("blocked", "p0", "add_same", "answer_num", "HINT"),
+      ("blocked", "p0", "add_same", "answer_den", "CORRECT"),
+      ("blocked", "p0", "add_same", "done", "CORRECT")], "posttest"),
+    ([("constrained", "p0", "box_easy", "r2_a", "HINT"),
+      ("unconstrained", "p1", "box_easy", "r2_a", "ERROR")], "hard_problems"),
+], ids=["fractions-without-posttest", "box-without-hard-items"])
+def test_report_on_a_log_with_an_empty_phase_is_not_estimable(tmp_path, capsys,
+                                                              rows, empty_model):
+    log = tmp_path / "transactions.csv"
+    _write_log(log, rows)
+    capsys.readouterr()
+    assert main(["report", str(log)]) == 0
+    printed = capsys.readouterr().out
+    assert (f"{empty_model} regression:\n"
+            "not estimable: no problem outcomes to fit") in printed

@@ -58,9 +58,13 @@ def test_unknown_condition_is_rejected():
 
 def test_defaults_match_the_study_designs():
     f = fractions_config()
-    assert f.n_agents == 78 and f.conditions == ("blocked", "interleaved")
+    assert f.n_agents == 78
+    assert [agent_condition(f, i) for i in range(3)] == \
+        ["blocked", "interleaved", "blocked"]
     b = box_arrows_config()
-    assert b.n_agents == 202 and b.conditions == ("constrained", "unconstrained")
+    assert b.n_agents == 202
+    assert [agent_condition(b, i) for i in range(3)] == \
+        ["constrained", "unconstrained", "constrained"]
 
 
 def test_invalid_configs_fail_before_simulation():

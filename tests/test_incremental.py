@@ -25,6 +25,7 @@ from simtutor.induction import (
 )
 from simtutor.state import (
     CORRECT,
+    ERROR,
     INPUT_VALUE,
     SAI,
     FieldState,
@@ -78,8 +79,9 @@ def _wrong(step):
 def test_derived_memory_equals_fresh_perception(script, mode, actions):
     session = TutorSession(script, mode)
     wm = perceive(session)
+    outcome = CORRECT
     for action, pick in actions:
-        if not session.active or session.complete:
+        if (mode == "posttest" and outcome == ERROR) or session.next_step() is None:
             break
         before = perceive(session)
         if action == "demo" and mode == "training":
@@ -93,8 +95,8 @@ def test_derived_memory_equals_fresh_perception(script, mode, actions):
                 step = unlocked[pick % len(unlocked)]
             sai = SAI(step.role, step.action, step.expected) \
                 if action == "correct" else _wrong(step)
-            session.submit(sai)
-            changed = sai.selection if session.transcript[-1][1] == CORRECT else None
+            outcome = session.submit(sai)
+            changed = sai.selection if outcome == CORRECT else None
         previous = wm
         if changed is not None:
             wm = wm.with_value(changed, session.value(changed))

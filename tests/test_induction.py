@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simtutor.induction import (
     Call,
@@ -110,6 +112,20 @@ def test_search_matches_brute_force_enumeration():
         else:
             assert tokens(got) == oracle_set
             assert {depth(e) for e in got} == {oracle_depth}
+
+
+# Six leaves cost the oracle up to 0.15 s, so the example count stays small.
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(-6, 12), min_size=2, max_size=6),
+       target=st.integers(-30, 60))
+def test_search_matches_brute_force_on_drawn_states(values, target):
+    # Zero, repeated and negative leaves: row-1 subtraction reaches them.
+    pairs = [(f"f{i}", v) for i, v in enumerate(values)]
+    wm = WorkingMemory([(r, FieldState(role=r, value=v)) for r, v in pairs])
+    got = explain(wm, SAI("t", "input_value", str(target)), allow_constant=False)
+    oracle_depth, oracle_set = brute_explanations(pairs, target)
+    assert tokens(got) == oracle_set
+    assert {depth(e) for e in got} == ({oracle_depth} if got else set())
 
 
 def test_normalize_orders_commutative_operands():

@@ -6,8 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from simtutor.state import SAI, ConfigError, ProtocolError
+from simtutor.state import CORRECT, ERROR, SAI, ConfigError, ProtocolError
 from simtutor.tutors import (
     FRACTION_TYPES,
     ProblemScript,
@@ -15,7 +22,6 @@ from simtutor.tutors import (
     ambiguity_count,
     gen_box_problem,
     gen_fraction_problem,
-    replay_canonical,
 )
 
 from _oracles import brute_candidates
@@ -163,6 +169,15 @@ def _script(ptype="add_diff", seed=0):
     return gen_fraction_problem(ptype, random.Random(seed), "p")
 
 
+def _canonical(step):
+    return SAI(step.role, step.action, step.expected)
+
+
+def replay_canonical(session: TutorSession):
+    """Submit every canonical step in order; returns the outcome list."""
+    return [session.submit(_canonical(step)) for step in session.script.canonical_steps]
+
+
 def test_replaying_canonical_steps_completes_every_generated_item():
     rng = random.Random(9)
     for i in range(100):
@@ -176,13 +191,13 @@ def test_replaying_canonical_steps_completes_every_generated_item():
                                 rng, f"p{i}")
         session = TutorSession(s, "training")
         outcomes = replay_canonical(session)
-        assert set(outcomes) == {"correct"} and session.complete
+        assert set(outcomes) == {CORRECT} and session.next_step() is None
 
 
 def test_correct_entry_locks_and_wrong_entry_does_not():
     session = TutorSession(_script(), "training")
     step = session.next_step()
-    assert session.submit(SAI(step.role, step.action, step.expected)) == "correct"
+    assert session.submit(SAI(step.role, step.action, step.expected)) == CORRECT
     with pytest.raises(ProtocolError):
         session.submit(SAI(step.role, step.action, step.expected))
 
@@ -192,7 +207,7 @@ def test_answer_before_conversion_is_incorrect():
     answer = next(s for s in session.script.canonical_steps
                   if s.role == "answer_num")
     assert session.submit(SAI("answer_num", "input_value", answer.expected)) \
-        == "incorrect"
+        == ERROR
 
 
 def test_demonstrations_follow_canonical_order():
@@ -216,8 +231,9 @@ def test_demonstrate_is_a_protocol_error_at_posttest():
 
 def test_posttest_records_silently_and_judges_at_the_end():
     session = TutorSession(_script("add_same"), "posttest")
-    assert session.submit(SAI("answer_num", "input_value", "999")) == "recorded"
-    assert not session.active
+    assert session.submit(SAI("answer_num", "input_value", "999")) == ERROR
+    with pytest.raises(ProtocolError):
+        session.submit(SAI("answer_num", "input_value", "999"))
     assert session.judged_correct is False
 
 
@@ -246,12 +262,126 @@ _KINDS = ([("fraction", ptype) for ptype in FRACTION_TYPES]
              for constraint in ("constrained", "unconstrained")])
 
 
+def _generate(kind, rng, problem_id):
+    if kind[0] == "fraction":
+        return gen_fraction_problem(kind[1], rng, problem_id)
+    return gen_box_problem(kind[0], kind[1], rng, problem_id)
+
+
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**64 - 1))
 def test_script_records_round_trip(kind, seed):
-    rng = random.Random(seed)
-    if kind[0] == "fraction":
-        s = gen_fraction_problem(kind[1], rng, f"p{seed}")
-    else:
-        s = gen_box_problem(kind[0], kind[1], rng, f"p{seed}")
+    s = _generate(kind, random.Random(seed), f"p{seed}")
     assert ProblemScript.from_record(s.to_record()) == s
+
+
+# -- the session contract as a state machine ---------------------------------
+
+def _wrong(step):
+    if step.action == "input_value":
+        return SAI(step.role, "input_value", str(int(step.expected) + 1))
+    return SAI(step.role, "input_value", "0")
+
+
+class SessionMachine(RuleBasedStateMachine):
+    """Random correct, wrong, out-of-order and demonstrate actions against a
+    model of the contract: which roles are locked, and whether a posttest
+    error has ended the attempt."""
+
+    @initialize(kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
+                mode=st.sampled_from(("training", "posttest")))
+    def start(self, kind, seed, mode):
+        script = _generate(kind, random.Random(seed), "p")
+        self.steps = script.canonical_steps
+        self.session = TutorSession(script, mode)
+        self.training = mode == "training"
+        self.locked = {}  # role -> value when it was locked
+        self.failed = False  # a posttest ERROR occurred
+
+    def _unlocked(self):
+        return [s for s in self.steps if s.role not in self.locked]
+
+    def _open(self):
+        return not self.failed and bool(self._unlocked())
+
+    def _submit(self, sai, expected):
+        outcome = self.session.submit(sai)
+        assert outcome in (CORRECT, ERROR)
+        assert outcome == expected
+        if outcome == CORRECT:
+            self.locked[sai.selection] = self.session.value(sai.selection)
+        elif not self.training:
+            self.failed = True
+
+    def _posttest_outcome(self, step):
+        # Any unlocked step is accepted, except done before every other step.
+        if step.action == "press_done" and len(self._unlocked()) > 1:
+            return ERROR
+        return CORRECT
+
+    @precondition(lambda self: self._open())
+    @rule(pick=st.integers(0, 7))
+    def correct(self, pick):
+        if self.training:
+            self._submit(_canonical(self.session.next_step()), CORRECT)
+        else:
+            unlocked = self._unlocked()
+            step = unlocked[pick % len(unlocked)]
+            self._submit(_canonical(step), self._posttest_outcome(step))
+
+    @precondition(lambda self: self._open())
+    @rule(pick=st.integers(0, 7))
+    def wrong(self, pick):
+        unlocked = self._unlocked()
+        self._submit(_wrong(unlocked[pick % len(unlocked)]), ERROR)
+
+    @precondition(lambda self: self._open() and len(self._unlocked()) > 1)
+    @rule(pick=st.integers(0, 7))
+    def out_of_order(self, pick):
+        later = self._unlocked()[1:]
+        step = later[pick % len(later)]
+        self._submit(_canonical(step),
+                     ERROR if self.training else self._posttest_outcome(step))
+
+    @precondition(lambda self: self._open() and self.locked)
+    @rule(pick=st.integers(0, 7))
+    def resubmit_locked(self, pick):
+        roles = sorted(self.locked)
+        step = next(s for s in self.steps if s.role == roles[pick % len(roles)])
+        if self.training:
+            with pytest.raises(ProtocolError):
+                self.session.submit(_canonical(step))
+        else:
+            self._submit(_canonical(step), ERROR)
+
+    @rule()
+    def demonstrate(self):
+        if not self.training or not self._open():
+            with pytest.raises(ProtocolError):
+                self.session.demonstrate()
+            return
+        step = self._unlocked()[0]
+        assert self.session.demonstrate() == (step.role, _canonical(step))
+        self.locked[step.role] = self.session.value(step.role)
+
+    @precondition(lambda self: not self._open())
+    @rule(pick=st.integers(0, 7))
+    def submit_when_closed(self, pick):
+        step = self.steps[pick % len(self.steps)]
+        with pytest.raises(ProtocolError):
+            self.session.submit(_canonical(step))
+
+    @invariant()
+    def locked_fields_never_change(self):
+        for role, value in self.locked.items():
+            assert self.session.value(role) == value
+
+    @invariant()
+    def judged_correct_iff_all_locked_without_error(self):
+        assert self.session.judged_correct == \
+            (not self._unlocked() and not self.failed)
+
+
+SessionMachine.TestCase.settings = settings(max_examples=150, stateful_step_count=12,
+                                            deadline=None)
+TestSessionContract = SessionMachine.TestCase
