@@ -59,18 +59,52 @@ class TrialRecord(NamedTuple):
 
     @staticmethod
     def from_row(row):
-        if len(row) != len(COLUMNS):
-            raise ValueError(f"expected {len(COLUMNS)} columns, got {row!r}")
-        (agent_id, replication, condition, phase, problem_id, problem_type,
-         opportunity, step_id, outcome, problem_correct) = row
-        if outcome not in ("CORRECT", "ERROR", "HINT"):
-            raise ValueError(f"unknown outcome {outcome!r}")
-        if problem_correct not in ("0", "1"):
-            raise ValueError(
-                f"problem_correct must be 0 or 1, not {problem_correct!r}")
-        return TrialRecord(agent_id, int(replication), condition, phase,
-                           problem_id, problem_type, int(opportunity), step_id,
-                           outcome, problem_correct == "1")
+        """The record for one ``transactions.csv`` row; ``ValueError`` if malformed."""
+        return _record(row, _Memo(str), _Memo(_integer))
+
+
+class _Memo(dict):
+    """Token -> parsed value; a token is parsed on first sight, then looked up."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, token):
+        value = self[token] = self.parse(token)
+        return value
+
+
+def _integer(token):
+    """The ``int`` that ``as_row`` writes as exactly ``token``."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"non-canonical integer {token!r}")
+    return value
+
+
+def _record(row, texts, numbers):
+    """Check one row and build its record, parsing tokens through the memos.
+
+    ``texts`` is a ``_Memo(str)``, which maps a token to the first equal token
+    it saw, since ``str`` returns its argument; ``numbers`` is a
+    ``_Memo(_integer)``.
+    """
+    if len(row) != len(COLUMNS):
+        raise ValueError(f"expected {len(COLUMNS)} columns, got {row!r}")
+    (agent_id, replication, condition, phase, problem_id, problem_type,
+     opportunity, step_id, outcome, problem_correct) = row
+    if outcome not in ("CORRECT", "ERROR", "HINT"):
+        raise ValueError(f"unknown outcome {outcome!r}")
+    if problem_correct not in ("0", "1"):
+        raise ValueError(
+            f"problem_correct must be 0 or 1, not {problem_correct!r}")
+    return TrialRecord(texts[agent_id], numbers[replication], texts[condition],
+                       texts[phase], texts[problem_id], texts[problem_type],
+                       numbers[opportunity], texts[step_id], texts[outcome],
+                       problem_correct == "1")
 
 
 @dataclass(frozen=True)
@@ -303,9 +337,13 @@ def read_transactions(path):
         header = next(reader, None)
         if header is None or tuple(header) != COLUMNS:
             raise ConfigError(f"unexpected transaction header in {path}")
+        # One memo per read: each distinct token is checked and parsed once,
+        # and every record holding it shares one object.
+        texts, numbers = _Memo(str), _Memo(_integer)
         try:
-            return list(map(TrialRecord.from_row, reader))
+            return [_record(row, texts, numbers) for row in reader]
         except ValueError as exc:
-            # map reads one row at a time, so line_num is the failing row's.
+            # The comprehension reads one row at a time, so line_num is the
+            # failing row's.
             raise ConfigError(
                 f"malformed transaction row {reader.line_num}: {exc}") from None

@@ -70,34 +70,11 @@ def divide(left, right):
     return left / right
 
 
-def evaluate(expr, values):
-    """Evaluate against role -> exact number; None when unbound or divide-by-zero.
-
-    The reference semantics for ``compile_procedure``.
-    """
-    if isinstance(expr, Ref):
-        return values.get(expr.role)
-    if isinstance(expr, Lit):
-        return expr.value
-    left = evaluate(expr.left, values)
-    if left is None:
-        return None
-    right = evaluate(expr.right, values)
-    if right is None:
-        return None
-    if expr.op == "add":
-        return left + right
-    if expr.op == "subtract":
-        return left - right
-    if expr.op == "multiply":
-        return left * right
-    if right == 0:
-        return None
-    return divide(left, right)
-
-
 def compile_procedure(expr):
-    """A closure ``values -> number | None`` equal to ``evaluate(expr, values)``."""
+    """``expr`` as a closure over role -> exact number.
+
+    The closure returns ``None`` when a role is unbound or a divisor is zero.
+    """
     if isinstance(expr, Ref):
         role = expr.role
 
@@ -256,11 +233,6 @@ class Skill:
             raise InvariantError("successes exceed attempts")
         if self.procedure is not None:
             self.compiled = compile_procedure(self.procedure)
-
-    @property
-    def utility(self) -> Fraction:
-        """Smoothed success rate: (successes + 1) / (attempts + 2)."""
-        return Fraction(self.successes + 1, self.attempts + 2)
 
     def record(self, correct: bool) -> None:
         self.attempts += 1

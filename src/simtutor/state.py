@@ -61,10 +61,6 @@ class FieldState(NamedTuple):
     def filled(self) -> bool:
         return self.value is not None
 
-    @property
-    def numeric(self) -> bool:
-        return isinstance(self.value, int) and not isinstance(self.value, bool)
-
 
 @dataclass(frozen=True)
 class SAI:
@@ -122,7 +118,7 @@ class WorkingMemory:
                 raise MalformedTutorError(f"duplicate role {role!r}")
             fields[role] = state
             preds.add(_fill_literal(role, state))
-            if state.numeric:
+            if type(state.value) is int:
                 values[role] = state.value
             elif state.value is None and state.editable:
                 open_roles.add(role)
@@ -164,9 +160,10 @@ class WorkingMemory:
         wm.predicates = preds
         wm.open_roles = open_roles
         values = self.values
-        if new.numeric or role in values:
+        numeric = type(value) is int
+        if numeric or role in values:
             values = values.copy()
-            if new.numeric:
+            if numeric:
                 values[role] = value
             else:
                 del values[role]

@@ -44,7 +44,8 @@ def _fraction_predicates(fields):
     if op is not None and op.filled:
         preds.add(("op_equals", op.value))
     d1, d2 = fields.get("den1"), fields.get("den2")
-    if d1 is not None and d2 is not None and d1.numeric and d2.numeric:
+    if (d1 is not None and d2 is not None and type(d1.value) is int
+            and type(d2.value) is int):
         preds.add(("denominators_equal",) if d1.value == d2.value
                   else ("denominators_differ",))
     chk = fields.get("convert_check")

@@ -1,13 +1,17 @@
-"""Independent brute-force oracles used to cross-check the search code.
+"""Independent oracles and reference semantics used to cross-check the code.
 
-These enumerate expression spaces explicitly via itertools, sharing nothing
-with the production enumeration besides the canonical-string convention
-(commutative operands in sorted order).
+The brute-force oracles enumerate expression spaces explicitly via itertools,
+sharing nothing with the production enumeration besides the canonical-string
+convention (commutative operands in sorted order).  ``evaluate`` and
+``utility`` are the slow, definition-level forms of what the agent computes
+through compiled procedures and cross-multiplied integers.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from simtutor.induction import Lit, Ref, divide
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -110,3 +114,34 @@ def reference_problem_outcomes(records, phase):
                     rec.problem_type, rec.opportunity, position,
                     rec.problem_correct))
     return out
+
+
+def evaluate(expr, values):
+    """Evaluate against role -> exact number; None when unbound or divide-by-zero.
+
+    The reference semantics for ``induction.compile_procedure``.
+    """
+    if isinstance(expr, Ref):
+        return values.get(expr.role)
+    if isinstance(expr, Lit):
+        return expr.value
+    left = evaluate(expr.left, values)
+    if left is None:
+        return None
+    right = evaluate(expr.right, values)
+    if right is None:
+        return None
+    if expr.op == "add":
+        return left + right
+    if expr.op == "subtract":
+        return left - right
+    if expr.op == "multiply":
+        return left * right
+    if right == 0:
+        return None
+    return divide(left, right)
+
+
+def utility(skill) -> Fraction:
+    """A skill's smoothed success rate: (successes + 1) / (attempts + 2)."""
+    return Fraction(skill.successes + 1, skill.attempts + 2)

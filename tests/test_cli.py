@@ -160,8 +160,17 @@ def test_gen_problems_box_constraint(capsys):
     assert all("unconstrained" in json.loads(l)["tags"] for l in lines)
 
 
-@pytest.mark.parametrize("column, token", [(1, "first"), (8, "MAYBE"), (9, "yes")],
-                         ids=["replication", "outcome", "problem_correct"])
+# Number tokens that int() accepts but as_row never writes.
+_NON_CANONICAL = {"plus-sign": "+3", "underscore": "1_0", "leading-space": " 3",
+                  "arabic-indic-digit": "\u0663", "leading-zero": "03"}
+
+
+@pytest.mark.parametrize("column, token", [
+    (1, "first"), (8, "MAYBE"), (9, "yes"),
+    *[(column, token) for column in (1, 6) for token in _NON_CANONICAL.values()],
+], ids=["replication", "outcome", "problem_correct",
+        *[f"{name}-{kind}" for name in ("replication", "opportunity")
+          for kind in _NON_CANONICAL]])
 def test_report_rejects_non_integer_numbers_in_one_line(tmp_path, capsys,
                                                         column, token):
     out = run_dir(tmp_path)

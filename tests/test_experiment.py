@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -236,6 +237,35 @@ def test_schema_validation_rejects_corruption(tmp_path, small_fraction_log):
     (tmp_path / "bad_rows.csv").write_text("\n".join(truncated) + "\n")
     with pytest.raises(ConfigError):
         read_transactions(tmp_path / "bad_rows.csv")
+
+
+_TEXT_COLUMNS = ("agent_id", "condition", "phase", "problem_id", "problem_type",
+                 "step_id", "outcome")
+
+
+def test_records_read_together_share_one_object_per_distinct_string(
+        tmp_path, small_fraction_log):
+    path = tmp_path / "transactions.csv"
+    write_transactions(path, small_fraction_log)
+    records = read_transactions(path)
+    for column in _TEXT_COLUMNS:
+        values = [getattr(r, column) for r in records]
+        assert len({id(v) for v in values}) == len(set(values)), column
+
+
+def test_read_transactions_keeps_few_bytes_per_row(tmp_path, small_fraction_log):
+    # About 550 bytes per row when every row holds its own seven strings,
+    # about 150 when records share them.
+    path = tmp_path / "transactions.csv"
+    write_transactions(path, small_fraction_log)
+    tracemalloc.start()
+    try:
+        records = read_transactions(path)
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records == small_fraction_log
+    assert kept / len(records) < 300
 
 
 # Any text a CSV file can hold; lone surrogates cannot be encoded.

@@ -21,7 +21,6 @@ from simtutor.induction import (
     Ref,
     compile_procedure,
     divide,
-    evaluate,
 )
 from simtutor.state import (
     CORRECT,
@@ -41,6 +40,8 @@ from simtutor.tutors import (
     gen_box_problem,
     gen_fraction_problem,
 )
+
+from _oracles import evaluate
 
 
 def assert_same_memory(derived, fresh):
