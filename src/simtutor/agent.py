@@ -26,11 +26,19 @@ from .state import (
 )
 
 
-class Activation(NamedTuple):
-    """A matched skill with its proposed step.
+class Candidate(NamedTuple):
+    """A matched skill and the value its procedure computes here.
 
-    A named tuple: matching builds one per candidate on every step.
+    ``value`` is ``None`` for a structural action.  Matching builds one per
+    candidate on every step; only the winner becomes an ``Activation``.
     """
+
+    skill: Skill
+    value: object
+
+
+class Activation(NamedTuple):
+    """The skill chosen to fire and the step it proposes."""
 
     skill: Skill
     proposed: SAI
@@ -55,7 +63,8 @@ def perceive(session) -> WorkingMemory:
 
 
 def activations(wm: WorkingMemory, skills, excluded=frozenset()):
-    """All skills whose gate holds and whose procedure can execute here.
+    """A ``Candidate`` for every skill whose gate holds and whose procedure
+    can execute here.
 
     Only skills whose target role is open (editable and empty) are tried.
     """
@@ -69,14 +78,12 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
             continue
         if not sk.required <= preds:
             continue
+        value = None
         if sk.compiled is not None:
             value = sk.compiled(values)
             if value is None:
                 continue
-            sai = SAI(role, INPUT_VALUE, render_value(value))
-        else:
-            sai = SAI(role, sk.action)
-        out.append(Activation(sk, sai))
+        out.append(Candidate(sk, value))
     return out
 
 
@@ -95,13 +102,20 @@ def _outranks(a: Skill, b: Skill) -> bool:
 def decide(wm: WorkingMemory, skills, excluded=frozenset()):
     """Best activation by utility, or None to request a demonstration.
 
-    Ties break on higher attempt count, then smallest skill id.
+    Ties break on higher attempt count, then smallest skill id.  The step is
+    built for the winning candidate only.
     """
     best = None
-    for act in activations(wm, skills, excluded):
-        if best is None or _outranks(act.skill, best.skill):
-            best = act
-    return best
+    for cand in activations(wm, skills, excluded):
+        if best is None or _outranks(cand.skill, best.skill):
+            best = cand
+    if best is None:
+        return None
+    skill, value = best
+    if skill.compiled is None:
+        return Activation(skill, SAI(skill.target_role, skill.action))
+    return Activation(skill, SAI(skill.target_role, INPUT_VALUE,
+                                 render_value(value)))
 
 
 def apply_feedback(skills, activation: Activation, correct: bool,

@@ -149,7 +149,7 @@ def _cmd_run(args):
     config = _resolve_config(args)
     out = args.out or _default_out(config.study, config.seed)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     records = run_study(config)
     write_transactions(out / "transactions.csv", records)
     _write_csv(out / "curves.csv", curve_rows(learning_curve(records)))
@@ -182,7 +182,7 @@ def _cmd_run(args):
         "seed": config.seed,
         "outputs": ["transactions.csv", "curves.csv", "regression.txt",
                     "regression.csv"],
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.perf_counter() - started, 3),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out}")
@@ -216,6 +216,8 @@ def _cmd_report(args):
 
 
 def _cmd_gen_problems(args):
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, not {args.count}")
     study = STUDY_NAMES[args.study]
     rng = random.Random(args.seed)
     for i in range(args.count):

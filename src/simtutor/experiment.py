@@ -22,6 +22,7 @@ from .tutors import (
     TutorSession,
     gen_box_problem,
     gen_fraction_problem,
+    randbelow,
 )
 
 FRACTIONS_TRAINING = {"add_same": 10, "add_diff": 14, "multiply": 24}
@@ -181,7 +182,7 @@ def _box_curriculum(constraint: str, rng, id_prefix: str):
     combos = [(op, layout) for op in ("+", "-", "*", "/")
               for layout in ("given_first", "box_first")]
     deals = list(combos)
-    deals += [rng.choice(combos)
+    deals += [combos[randbelow(rng, len(combos))]
               for _ in range(BOX_TRAINING["box_hard"] - len(combos))]
     rng.shuffle(deals)
     items += [gen_box_problem("hard", constraint, rng, f"{id_prefix}-hard-{i}",

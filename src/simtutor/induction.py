@@ -163,6 +163,33 @@ def _compose_level(levels, d):
     return out
 
 
+def _matching_keys(levels, d, target):
+    """Keys of the exact-depth-d trees whose value is ``target``.
+
+    Walks the trees in ``_compose_level``'s order but keeps only the keys
+    that match, and stores no entry for the rest.  A quotient is tested as
+    ``left == target * right``, exact for ints and ``Fraction``s alike, so
+    the scan builds no ``Fraction``.
+    """
+    out = []
+    pairs = [(i, j) for i in range(d) for j in range(d) if max(i, j) == d - 1]
+    for opi, op in enumerate(OPS):
+        arith = _ARITH.get(op)
+        commutative = op in COMMUTATIVE
+        for dl, dr in pairs:
+            for lk, lu, lv in levels[dl]:
+                for rk, ru, rv in levels[dr]:
+                    if lu & ru or (commutative and lk > rk):
+                        continue
+                    if arith is not None:
+                        if arith(lv, rv) != target:
+                            continue
+                    elif rv == 0 or lv != target * rv:
+                        continue
+                    out.append((1, opi, lk, rk))
+    return out
+
+
 def _tree(key, leaves):
     """The expression a search key spells, over ``leaves`` (role, value) pairs."""
     if key[0] == 0:
@@ -178,8 +205,10 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
     Search runs by iterative deepening over operator compositions of the
     visible numeric field values: depth, then operator order (add, subtract,
     multiply, divide), then leftmost field order.  Each tree uses a field at
-    most once.  The constant explanation is returned only when no field-based
-    explanation exists within the depth bound.
+    most once.  Each depth is scanned for the target before it is built, and
+    it is built only when the search must go one depth deeper.  The constant
+    explanation is returned only when no field-based explanation exists
+    within the depth bound.
     """
     if demo.action != INPUT_VALUE:
         return []
@@ -191,19 +220,21 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
     leaves = wm.numeric_leaves()
     levels = [[((0, i), 1 << i, val) for i, (_role, val) in enumerate(leaves)]]
     for d in range(max_depth + 1):
-        if d > 0:
-            levels.append(_compose_level(levels, d))
-        found, seen = [], set()
-        for key, _used, val in levels[d]:
-            if val != target:
-                continue
-            canon = normalize(_tree(key, leaves))
-            token = sexpr(canon)
-            if token not in seen:
-                seen.add(token)
-                found.append(canon)
-        if found:
+        if d == 0:
+            keys = [key for key, _used, val in levels[0] if val == target]
+        else:
+            keys = _matching_keys(levels, d, target)
+        if keys:
+            found, seen = [], set()
+            for key in keys:
+                canon = normalize(_tree(key, leaves))
+                token = sexpr(canon)
+                if token not in seen:
+                    seen.add(token)
+                    found.append(canon)
             return found
+        if 0 < d < max_depth:
+            levels.append(_compose_level(levels, d))
     if allow_constant:
         return [Lit(target)]
     return []

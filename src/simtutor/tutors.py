@@ -284,6 +284,22 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
 # --------------------------------------------------------------------------
 
 _BOX_OPS = ("+", "-", "*", "/")
+_SLOTS = ("given_first", "box_first")
+
+
+def randbelow(rng, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, drawn as CPython's ``Random`` draws it.
+
+    ``randint(lo, hi)`` is ``lo + randbelow(rng, hi - lo + 1)`` and
+    ``choice(seq)`` is ``seq[randbelow(rng, len(seq))]``: the same
+    ``getrandbits`` calls, so the values and the generator's state afterwards
+    are identical, without ``randrange``'s argument checks on every draw.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _whole_op(op: str, a: int, b: int):
@@ -334,12 +350,12 @@ def _gen_row1(constraint: str, rng):
     unconstrained items keep every row-1 reading whole-numbered."""
     if constraint == "constrained":
         op1 = "/"
-        a, b = rng.randint(2, 30), rng.randint(2, 30)
+        a, b = 2 + randbelow(rng, 29), 2 + randbelow(rng, 29)
         if a % b == 0:
             return None
         return a, op1, b
-    op1 = rng.choice(_BOX_OPS)
-    a, b = rng.randint(1, 30), rng.randint(1, 30)
+    op1 = _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
+    a, b = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
     v = _whole_op(op1, a, b)
     if v is None or v < 1:
         return None
@@ -364,8 +380,8 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
 
     for _ in range(MAX_DRAWS):
         if difficulty == "easy":
-            op1 = rng.choice(_BOX_OPS)
-            a, b = rng.randint(1, 30), rng.randint(1, 30)
+            op1 = _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
+            a, b = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
             v = _whole_op(op1, a, b)
             if v is None or v < 1 or v in (a, b):
                 continue
@@ -383,10 +399,10 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
             )
 
         # Hard item: (given op2 x) = target, or (x op2 given) = target.
-        rel_op = op2 if op2 is not None else rng.choice(_BOX_OPS)
-        slot = layout if layout is not None else rng.choice(("given_first", "box_first"))
-        g = rng.randint(1, 30)
-        x = rng.randint(1, 30)
+        rel_op = op2 if op2 is not None else _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
+        slot = layout if layout is not None else _SLOTS[randbelow(rng, len(_SLOTS))]
+        g = 1 + randbelow(rng, 30)
+        x = 1 + randbelow(rng, 30)
         t = _whole_op(rel_op, g, x) if slot == "given_first" else _whole_op(rel_op, x, g)
         if t is None or t < 1 or t > 99:
             continue

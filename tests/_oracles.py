@@ -5,13 +5,25 @@ sharing nothing with the production enumeration besides the canonical-string
 convention (commutative operands in sorted order).  ``evaluate`` and
 ``utility`` are the slow, definition-level forms of what the agent computes
 through compiled procedures and cross-multiplied integers.
+``materialized_explain`` is the order oracle for ``induction.explain``: the
+search as it ran before it scanned each depth first, building every level in
+full through ``induction._compose_level``.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from simtutor.induction import Lit, Ref, divide
+from simtutor.induction import (
+    Lit,
+    Ref,
+    _compose_level,
+    _tree,
+    divide,
+    normalize,
+    sexpr,
+)
+from simtutor.state import INPUT_VALUE
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -145,3 +157,34 @@ def evaluate(expr, values):
 def utility(skill) -> Fraction:
     """A skill's smoothed success rate: (successes + 1) / (attempts + 2)."""
     return Fraction(skill.successes + 1, skill.attempts + 2)
+
+
+def materialized_explain(wm, demo, max_depth=2, allow_constant=True):
+    """``induction.explain`` as it was before its scan-first search.
+
+    Every depth is built in full through ``_compose_level``, values and all,
+    and then filtered for the target, so the result fixes the order in which
+    ``explain`` must return its trees.
+    """
+    if demo.action != INPUT_VALUE:
+        return []
+    target = int(demo.input)
+    leaves = wm.numeric_leaves()
+    levels = [[((0, i), 1 << i, val) for i, (_role, val) in enumerate(leaves)]]
+    for d in range(max_depth + 1):
+        if d > 0:
+            levels.append(_compose_level(levels, d))
+        found, seen = [], set()
+        for key, _used, val in levels[d]:
+            if val != target:
+                continue
+            canon = normalize(_tree(key, leaves))
+            token = sexpr(canon)
+            if token not in seen:
+                seen.add(token)
+                found.append(canon)
+        if found:
+            return found
+    if allow_constant:
+        return [Lit(target)]
+    return []

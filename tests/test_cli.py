@@ -160,6 +160,16 @@ def test_gen_problems_box_constraint(capsys):
     assert all("unconstrained" in json.loads(l)["tags"] for l in lines)
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_problems_rejects_a_count_below_one(capsys, count):
+    assert main(["gen-problems", "fractions", "--type", "add_diff",
+                 "-n", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"simtutor: config error: --count must be at least 1, not {count}"]
+
+
 # Number tokens that int() accepts but as_row never writes.
 _NON_CANONICAL = {"plus-sign": "+3", "underscore": "1_0", "leading-space": " 3",
                   "arabic-indic-digit": "\u0663", "leading-zero": "03"}

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simtutor.induction import (
+    OPS,
     Call,
     Lit,
     Ref,
@@ -25,7 +26,12 @@ from simtutor.induction import (
 from simtutor.state import SAI, FieldState, InvariantError, WorkingMemory
 from simtutor.tutors import FRACTION_FAMILY
 
-from _oracles import brute_explanations, evaluate, utility
+from _oracles import (
+    brute_explanations,
+    evaluate,
+    materialized_explain,
+    utility,
+)
 
 
 def make_wm(*pairs, editable=()):
@@ -125,6 +131,62 @@ def test_search_matches_brute_force_on_drawn_states(values, target):
     oracle_depth, oracle_set = brute_explanations(pairs, target)
     assert tokens(got) == oracle_set
     assert {depth(e) for e in got} == ({oracle_depth} if got else set())
+
+
+@st.composite
+def search_cases(draw):
+    """(leaf values, target, max_depth, allow_constant) for the order property.
+
+    Half the targets with two or more leaves are the value of a drawn chain
+    ``((f op f) op f) op f`` over distinct leaves, as deep as ``max_depth``
+    and the leaves allow, so many are first reachable at depth 2 or 3.  Half
+    the chains of three or more leaves start with a quotient, often inexact,
+    that the next leaf, a multiple of the divisor, makes whole again.  Depth 3
+    keeps to four leaves, which the oracle still enumerates in milliseconds.
+    """
+    max_depth = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(-6, 12), min_size=1,
+                           max_size=4 if max_depth == 3 else 5))
+    target = draw(st.integers(-30, 60))
+    if len(values) >= 2 and draw(st.booleans()):
+        order = draw(st.permutations(range(len(values))))
+        size = min(len(values), max_depth + 1)
+        roles = [f"f{i}" for i in order[:size]]
+        tree = Ref(roles[0])
+        if size >= 3 and values[order[1]] != 0 and draw(st.booleans()):
+            multiple = draw(st.sampled_from((-3, -2, 2, 3)))
+            values[order[2]] = values[order[1]] * multiple
+            tree = Call("multiply", Call("divide", tree, Ref(roles[1])),
+                        Ref(roles[2]))
+            roles = roles[3:]
+        else:
+            roles = roles[1:]
+        for role in roles:
+            op = draw(st.sampled_from(OPS))
+            tree = (Call(op, tree, Ref(role)) if draw(st.booleans())
+                    else Call(op, Ref(role), tree))
+        value = evaluate(tree, {f"f{n}": Fraction(v) for n, v in enumerate(values)})
+        if value is not None and value.denominator == 1:
+            target = int(value)
+    return values, target, max_depth, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases())
+@example(case=([3, 2, 10], 15, 2, True))     # (multiply (divide f0 f1) f2)
+@example(case=([0, 0, 5, -5], 0, 2, False))  # zero and repeated leaves
+@example(case=([2, 7], 99, 1, True))         # the constant
+@example(case=([2, 7], 99, 3, False))        # nothing
+@example(case=([2, 3, 5, 7], 77, 3, True))   # depth 3 only
+def test_explain_keeps_the_materialized_order(case):
+    # The brute-force property compares sets; this one pins the order too,
+    # which decides the first explanation and so the skill that is learned.
+    values, target, max_depth, allow_constant = case
+    wm = WorkingMemory([(f"f{i}", FieldState(role=f"f{i}", value=v))
+                        for i, v in enumerate(values)])
+    demo = SAI("t", "input_value", str(target))
+    assert (explain(wm, demo, max_depth, allow_constant)
+            == materialized_explain(wm, demo, max_depth, allow_constant))
 
 
 def test_normalize_orders_commutative_operands():

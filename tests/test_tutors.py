@@ -22,6 +22,7 @@ from simtutor.tutors import (
     ambiguity_count,
     gen_box_problem,
     gen_fraction_problem,
+    randbelow,
 )
 
 from _oracles import brute_candidates
@@ -143,16 +144,34 @@ def test_unsatisfiable_generation_is_surfaced():
     from simtutor.state import GenerationError
 
     class StuckRng:
-        # Forces g = x = 1 forever, so the correct entry always collides
-        # with a visible number and every draw is rejected.
-        def randint(self, lo, hi):
-            return lo
-
-        def choice(self, seq):
-            return seq[0]
+        # Every draw is the lowest value, which forces g = x = 1 forever, so
+        # the correct entry always collides with a visible number and every
+        # draw is rejected.
+        def getrandbits(self, k):
+            return 0
 
     with pytest.raises(GenerationError):
         gen_box_problem("hard", "constrained", StuckRng(), "p")
+
+
+# Every range the box generators and the box curriculum draw from, plus n = 1.
+_DRAWS = [("randint", (1, 30)), ("randint", (2, 30)), ("randint", (4, 4)),
+          ("choice", ("+", "-", "*", "/")), ("choice", ("given_first", "box_first")),
+          ("choice", tuple(range(8)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64), draws=st.lists(st.sampled_from(_DRAWS),
+                                                  min_size=1, max_size=60))
+def test_randbelow_reproduces_randint_and_choice(seed, draws):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for kind, arg in draws:
+        if kind == "randint":
+            lo, hi = arg
+            assert lo + randbelow(ours, hi - lo + 1) == theirs.randint(lo, hi)
+        else:
+            assert arg[randbelow(ours, len(arg))] == theirs.choice(arg)
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_candidate_count_matches_brute_force_on_random_sets():
