@@ -26,17 +26,6 @@ from .state import (
 )
 
 
-class Candidate(NamedTuple):
-    """A matched skill and the value its procedure computes here.
-
-    ``value`` is ``None`` for a structural action.  Matching builds one per
-    candidate on every step; only the winner becomes an ``Activation``.
-    """
-
-    skill: Skill
-    value: object
-
-
 class Activation(NamedTuple):
     """The skill chosen to fire and the step it proposes."""
 
@@ -51,8 +40,6 @@ def perceive(session) -> WorkingMemory:
     state with ``WorkingMemory.with_value``.
     """
     snapshot = session.snapshot()
-    if not snapshot:
-        raise MalformedTutorError("empty tutor snapshot")
     family = session.family
     for role, _value, _editable in snapshot:
         if role not in family.layout:
@@ -63,8 +50,8 @@ def perceive(session) -> WorkingMemory:
 
 
 def activations(wm: WorkingMemory, skills, excluded=frozenset()):
-    """A ``Candidate`` for every skill whose gate holds and whose procedure
-    can execute here.
+    """A (skill, value) pair for every skill whose gate holds and whose
+    procedure can execute here; ``value`` is ``None`` for a structural action.
 
     Only skills whose target role is open (editable and empty) are tried.
     """
@@ -83,7 +70,7 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
             value = sk.compiled(values)
             if value is None:
                 continue
-        out.append(Candidate(sk, value))
+        out.append((sk, value))
     return out
 
 
@@ -107,7 +94,7 @@ def decide(wm: WorkingMemory, skills, excluded=frozenset()):
     """
     best = None
     for cand in activations(wm, skills, excluded):
-        if best is None or _outranks(cand.skill, best.skill):
+        if best is None or _outranks(cand[0], best[0]):
             best = cand
     if best is None:
         return None
@@ -141,8 +128,7 @@ class ProblemResult:
 class Agent:
     """A single simulated learner: a skill store plus deterministic id supply."""
 
-    def __init__(self, agent_id: str = "agent-0"):
-        self.agent_id = agent_id
+    def __init__(self):
         self.skills: list[Skill] = []
         self._skill_count = 0
 

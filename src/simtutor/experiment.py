@@ -18,6 +18,8 @@ from typing import NamedTuple
 from .agent import Agent, run_problem
 from .state import SIMULATION_ERRORS, ConfigError
 from .tutors import (
+    _BOX_OPS,
+    _SLOTS,
     ProblemScript,
     TutorSession,
     gen_box_problem,
@@ -61,7 +63,7 @@ class TrialRecord(NamedTuple):
     @staticmethod
     def from_row(row):
         """The record for one ``transactions.csv`` row; ``ValueError`` if malformed."""
-        return _record(row, _Memo(str), _Memo(_integer))
+        return _record(row, _Memo(_text), _Memo(_integer))
 
 
 class _Memo(dict):
@@ -78,6 +80,17 @@ class _Memo(dict):
         return value
 
 
+def _text(token):
+    """``token`` itself, unless it holds a byte that was not UTF-8, which
+    ``read_transactions`` decodes to a lone surrogate."""
+    if not token.isascii():
+        try:
+            token.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"undecodable bytes in {token!r}") from None
+    return token
+
+
 def _integer(token):
     """The ``int`` that ``as_row`` writes as exactly ``token``."""
     value = int(token)
@@ -89,8 +102,8 @@ def _integer(token):
 def _record(row, texts, numbers):
     """Check one row and build its record, parsing tokens through the memos.
 
-    ``texts`` is a ``_Memo(str)``, which maps a token to the first equal token
-    it saw, since ``str`` returns its argument; ``numbers`` is a
+    ``texts`` is a ``_Memo(_text)``, which maps a token to the first equal
+    token it saw, since ``_text`` returns its argument; ``numbers`` is a
     ``_Memo(_integer)``.
     """
     if len(row) != len(COLUMNS):
@@ -179,11 +192,9 @@ def _box_curriculum(constraint: str, rng, id_prefix: str):
              for i in range(BOX_TRAINING["box_easy"])]
     # Hard items cover the relation-operator x layout space at least once;
     # the remainder of the set is sampled uniformly.
-    combos = [(op, layout) for op in ("+", "-", "*", "/")
-              for layout in ("given_first", "box_first")]
-    deals = list(combos)
-    deals += [combos[randbelow(rng, len(combos))]
-              for _ in range(BOX_TRAINING["box_hard"] - len(combos))]
+    combos = [(op, layout) for op in _BOX_OPS for layout in _SLOTS]
+    deals = combos + [combos[randbelow(rng, len(combos))]
+                      for _ in range(BOX_TRAINING["box_hard"] - len(combos))]
     rng.shuffle(deals)
     items += [gen_box_problem("hard", constraint, rng, f"{id_prefix}-hard-{i}",
                               op2=op, layout=layout)
@@ -229,7 +240,7 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
     else:
         pretrain, training, posttest = _generate_sets(config, replication, agent_index)
 
-    agent = Agent(agent_id)
+    agent = Agent()
     opportunities: dict = {}
     rows = []
 
@@ -333,18 +344,16 @@ def write_transactions(path, records):
 
 
 def read_transactions(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != COLUMNS:
-            raise ConfigError(f"unexpected transaction header in {path}")
         # One memo per read: each distinct token is checked and parsed once,
         # and every record holding it shares one object.
-        texts, numbers = _Memo(str), _Memo(_integer)
+        texts, numbers = _Memo(_text), _Memo(_integer)
         try:
-            return [_record(row, texts, numbers) for row in reader]
-        except ValueError as exc:
-            # The comprehension reads one row at a time, so line_num is the
-            # failing row's.
+            if tuple(next(reader, ())) == COLUMNS:
+                return [_record(row, texts, numbers) for row in reader]
+        except (ValueError, csv.Error) as exc:
+            # Decoding cannot fail a chunk ahead: line_num is the failing row's.
             raise ConfigError(
                 f"malformed transaction row {reader.line_num}: {exc}") from None
+    raise ConfigError(f"unexpected transaction header in {path}")

@@ -126,16 +126,6 @@ def sexpr(expr) -> str:
     return f"({expr.op} {sexpr(expr.left)} {sexpr(expr.right)})"
 
 
-def normalize(expr):
-    """Canonical form: commutative operands ordered by their rendering."""
-    if not isinstance(expr, Call):
-        return expr
-    left, right = normalize(expr.left), normalize(expr.right)
-    if expr.op in COMMUTATIVE and sexpr(left) > sexpr(right):
-        left, right = right, left
-    return Call(expr.op, left, right)
-
-
 def _compose_level(levels, d):
     """All exact-depth-d trees over disjoint leaves, deterministically ordered.
 
@@ -191,11 +181,17 @@ def _matching_keys(levels, d, target):
 
 
 def _tree(key, leaves):
-    """The expression a search key spells, over ``leaves`` (role, value) pairs."""
+    """The canonical tree a key spells over ``leaves`` (role, value) pairs,
+    with commutative operands in rendering order, and its ``sexpr``."""
     if key[0] == 0:
-        return Ref(leaves[key[1]][0])
+        role = leaves[key[1]][0]
+        return Ref(role), role
     _call, opi, left, right = key
-    return Call(OPS[opi], _tree(left, leaves), _tree(right, leaves))
+    op = OPS[opi]
+    (left, ltext), (right, rtext) = _tree(left, leaves), _tree(right, leaves)
+    if op in COMMUTATIVE and ltext > rtext:
+        left, right, ltext, rtext = right, left, rtext, ltext
+    return Call(op, left, right), f"({op} {ltext} {rtext})"
 
 
 def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
@@ -208,7 +204,8 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
     most once.  Each depth is scanned for the target before it is built, and
     it is built only when the search must go one depth deeper.  The constant
     explanation is returned only when no field-based explanation exists
-    within the depth bound.
+    within the depth bound.  No two explanations render alike: roles are
+    unique, and a commutative pair is keyed in one operand order only.
     """
     if demo.action != INPUT_VALUE:
         return []
@@ -225,14 +222,7 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
         else:
             keys = _matching_keys(levels, d, target)
         if keys:
-            found, seen = [], set()
-            for key in keys:
-                canon = normalize(_tree(key, leaves))
-                token = sexpr(canon)
-                if token not in seen:
-                    seen.add(token)
-                    found.append(canon)
-            return found
+            return [_tree(key, leaves)[0] for key in keys]
         if 0 < d < max_depth:
             levels.append(_compose_level(levels, d))
     if allow_constant:

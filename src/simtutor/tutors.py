@@ -345,21 +345,13 @@ def ambiguity_count(values, answer) -> int:
     return len(seen)
 
 
-def _gen_row1(constraint: str, rng):
-    """Row-1 operands.  Constrained items make the row-1 shortcut fractional;
-    unconstrained items keep every row-1 reading whole-numbered."""
-    if constraint == "constrained":
-        op1 = "/"
-        a, b = 2 + randbelow(rng, 29), 2 + randbelow(rng, 29)
-        if a % b == 0:
-            return None
-        return a, op1, b
-    op1 = _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
+def _whole_row(rng):
+    """A drawn row ``(a, op, b, a op b)``, or None unless ``a op b`` is a
+    whole number of at least 1."""
+    op = _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
     a, b = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
-    v = _whole_op(op1, a, b)
-    if v is None or v < 1:
-        return None
-    return a, op1, b
+    v = _whole_op(op, a, b)
+    return None if v is None or v < 1 else (a, op, b, v)
 
 
 def gen_box_problem(difficulty: str, constraint: str, rng,
@@ -380,36 +372,34 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
 
     for _ in range(MAX_DRAWS):
         if difficulty == "easy":
-            op1 = _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
-            a, b = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
-            v = _whole_op(op1, a, b)
-            if v is None or v < 1 or v in (a, b):
+            row = _whole_row(rng)
+            if row is None:
+                continue
+            a, op1, b, x = row
+            if x in (a, b):
                 continue
             givens = {"r1_a": a, "r1_op": op1, "r1_b": b}
-            steps = (CanonicalStep("r2_a", INPUT_VALUE, str(v)),
-                     CanonicalStep("done", PRESS_DONE))
-            return ProblemScript(
-                problem_id=problem_id,
-                family="box",
-                problem_type="box_easy",
-                given_fields=givens,
-                canonical_steps=steps,
-                condition_tags=(constraint,),
-                editable_roles=frozenset(("r2_a", "done")),
-            )
+            box_role, tags = "r2_a", (constraint,)
+            break
 
         # Hard item: (given op2 x) = target, or (x op2 given) = target.
         rel_op = op2 if op2 is not None else _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
         slot = layout if layout is not None else _SLOTS[randbelow(rng, len(_SLOTS))]
-        g = 1 + randbelow(rng, 30)
-        x = 1 + randbelow(rng, 30)
+        g, x = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
         t = _whole_op(rel_op, g, x) if slot == "given_first" else _whole_op(rel_op, x, g)
         if t is None or t < 1 or t > 99:
             continue
-        row1 = _gen_row1(constraint, rng)
-        if row1 is None:
-            continue
-        a, op1, b = row1
+        # Constrained items make the row-1 shortcut fractional; unconstrained
+        # items keep every row-1 reading whole-numbered.
+        if constraint == "constrained":
+            a, op1, b = 2 + randbelow(rng, 29), "/", 2 + randbelow(rng, 29)
+            if a % b == 0:
+                continue
+        else:
+            row1 = _whole_row(rng)
+            if row1 is None:
+                continue
+            a, op1, b, _value = row1
         visible = [a, b, g, t]
         if x in visible:
             continue
@@ -418,24 +408,23 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
             continue
         if constraint == "unconstrained" and count < 2:
             continue
-        if slot == "given_first":
-            givens = {"r1_a": a, "r1_op": op1, "r1_b": b,
-                      "r2_a": g, "r2_op": rel_op, "target": t}
-            box_role = "r2_b"
-        else:
-            givens = {"r1_a": a, "r1_op": op1, "r1_b": b,
-                      "r2_b": g, "r2_op": rel_op, "target": t}
-            box_role = "r2_a"
-        steps = (CanonicalStep(box_role, INPUT_VALUE, str(x)),
-                 CanonicalStep("done", PRESS_DONE))
-        return ProblemScript(
-            problem_id=problem_id,
-            family="box",
-            problem_type="box_hard",
-            given_fields=givens,
-            canonical_steps=steps,
-            condition_tags=(constraint, slot),
-            editable_roles=frozenset((box_role, "done")),
-        )
-    raise GenerationError(
-        f"no {constraint} {difficulty} item found in {MAX_DRAWS} draws")
+        given_role, box_role = (("r2_a", "r2_b") if slot == "given_first"
+                                else ("r2_b", "r2_a"))
+        givens = {"r1_a": a, "r1_op": op1, "r1_b": b, given_role: g,
+                  "r2_op": rel_op, "target": t}
+        tags = (constraint, slot)
+        break
+    else:
+        raise GenerationError(
+            f"no {constraint} {difficulty} item found in {MAX_DRAWS} draws")
+    return ProblemScript(
+        problem_id=problem_id,
+        family="box",
+        # A literal, so the log and its pickles hold one string per type.
+        problem_type="box_easy" if difficulty == "easy" else "box_hard",
+        given_fields=givens,
+        canonical_steps=(CanonicalStep(box_role, INPUT_VALUE, str(x)),
+                         CanonicalStep("done", PRESS_DONE)),
+        condition_tags=tags,
+        editable_roles=frozenset((box_role, "done")),
+    )

@@ -20,8 +20,6 @@ from simtutor.induction import (
     _compose_level,
     _tree,
     divide,
-    normalize,
-    sexpr,
 )
 from simtutor.state import INPUT_VALUE
 
@@ -178,8 +176,7 @@ def materialized_explain(wm, demo, max_depth=2, allow_constant=True):
         for key, _used, val in levels[d]:
             if val != target:
                 continue
-            canon = normalize(_tree(key, leaves))
-            token = sexpr(canon)
+            canon, token = _tree(key, leaves)
             if token not in seen:
                 seen.add(token)
                 found.append(canon)

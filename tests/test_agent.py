@@ -136,7 +136,7 @@ def test_decide_never_fires_a_non_maximal_activation():
             assert live == []
             continue
         best = max(utility(s) for s in skills
-                   if any(x.skill is s for x in live))
+                   if any(skill is s for skill, _value in live))
         assert utility(act.skill) == best
 
 
@@ -203,7 +203,7 @@ def test_utility_monotonicity():
 def test_fresh_agent_posttest_fails_with_an_initial_hint():
     rng = random.Random(1)
     script = gen_fraction_problem("add_same", rng, "p1")
-    result = run_problem(Agent("a0"), TutorSession(script, "posttest"))
+    result = run_problem(Agent(), TutorSession(script, "posttest"))
     assert result.correct is False
     assert result.steps[0][1] == HINT
 
@@ -211,7 +211,7 @@ def test_fresh_agent_posttest_fails_with_an_initial_hint():
 def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
     rng = random.Random(1)
     script = gen_fraction_problem("add_same", rng, "p1")
-    agent = Agent("a0")
+    agent = Agent()
     # A wrong rule for every step the tutor expects first.
     agent.skills.append(Skill("s1", "answer_num", "input_value",
                               Call("multiply", Ref("den1"), Ref("den2")),
@@ -226,7 +226,7 @@ def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
 
 def test_trained_agent_masters_a_single_type_curriculum():
     rng = random.Random(3)
-    agent = Agent("a0")
+    agent = Agent()
     results = []
     for i in range(30):
         script = gen_fraction_problem("multiply", rng, f"p{i}")
@@ -238,7 +238,7 @@ def test_trained_agent_masters_a_single_type_curriculum():
 
 def test_trained_agent_passes_a_posttest_problem_cleanly():
     rng = random.Random(8)
-    agent = Agent("a0")
+    agent = Agent()
     for i in range(12):
         script = gen_fraction_problem("add_same", rng, f"p{i}")
         run_problem(agent, TutorSession(script, "training"))
@@ -251,7 +251,7 @@ def test_trained_agent_passes_a_posttest_problem_cleanly():
 
 def test_skill_store_serializes_for_inspection():
     rng = random.Random(2)
-    agent = Agent("a0")
+    agent = Agent()
     for i in range(3):
         script = gen_fraction_problem("add_same", rng, f"p{i}")
         run_problem(agent, TutorSession(script, "training"))
@@ -266,7 +266,7 @@ def test_skill_store_serializes_for_inspection():
 def test_identical_seeds_give_identical_transcripts():
     def transcript(seed):
         rng = random.Random(seed)
-        agent = Agent("a0")
+        agent = Agent()
         steps = []
         for i in range(8):
             script = gen_fraction_problem("add_diff", rng, f"p{i}")

@@ -241,3 +241,41 @@ def test_report_on_a_log_with_an_empty_phase_is_not_estimable(tmp_path, capsys,
     printed = capsys.readouterr().out
     assert (f"{empty_model} regression:\n"
             "not estimable: no problem outcomes to fit") in printed
+
+
+def _bad_input(tmp_path, case):
+    """(argv, expected message) for a command whose input is undecodable or
+    has an over-long field."""
+    if case == "config-not-utf8":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"agents": "\xff"}')
+        return (["run", "fractions", "--config", str(cfg), "--out",
+                 str(tmp_path / "x")], "cannot read config")
+    log = tmp_path / "transactions.csv"
+    _write_log(log, [("blocked", f"p{i}", "add_same", "done", "CORRECT")
+                     for i in range(2100)])
+    lines = log.read_bytes().split(b"\r\n")
+    if case == "header-not-utf8":
+        lines[0] = lines[0].replace(b"agent_id", b"agent\xffid")
+        message = "unexpected transaction header"
+    elif case == "row-not-utf8":
+        # Far enough in that decoding runs a chunk ahead of the csv reader.
+        lines[2001] = lines[2001].replace(b",p2000,", b",p\xff2000,")
+        message = "malformed transaction row 2002: "
+    else:
+        lines[5] = lines[5].replace(b",p4,", b",p" + b"4" * 140_000 + b",")
+        message = "malformed transaction row 6: field larger than field limit"
+    log.write_bytes(b"\r\n".join(lines))
+    return ["report", str(log)], message
+
+
+@pytest.mark.parametrize("case", ["header-not-utf8", "row-not-utf8",
+                                  "over-long-field", "config-not-utf8"])
+def test_undecodable_or_over_long_input_exits_one_in_one_line(tmp_path, capsys,
+                                                               case):
+    argv, message = _bad_input(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("simtutor: config error: ") and message in err

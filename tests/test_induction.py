@@ -19,7 +19,6 @@ from simtutor.induction import (
     expr_roles,
     generalize,
     induce_from_demo,
-    normalize,
     refine_conditions,
     sexpr,
 )
@@ -130,6 +129,7 @@ def test_search_matches_brute_force_on_drawn_states(values, target):
     got = explain(wm, SAI("t", "input_value", str(target)), allow_constant=False)
     oracle_depth, oracle_set = brute_explanations(pairs, target)
     assert tokens(got) == oracle_set
+    assert len(tokens(got)) == len(got)  # no two trees render alike
     assert {depth(e) for e in got} == ({oracle_depth} if got else set())
 
 
@@ -189,11 +189,14 @@ def test_explain_keeps_the_materialized_order(case):
             == materialized_explain(wm, demo, max_depth, allow_constant))
 
 
-def test_normalize_orders_commutative_operands():
-    e = Call("multiply", Ref("den2"), Ref("den1"))
-    assert sexpr(normalize(e)) == "(multiply den1 den2)"
-    s = Call("subtract", Ref("b"), Ref("a"))
-    assert sexpr(normalize(s)) == "(subtract b a)"
+def test_explanations_order_commutative_operands_by_rendering():
+    # den2 is the first leaf, so the search keys the product den2 * den1.
+    wm = make_wm(("den2", 3), ("den1", 2))
+    out = explain(wm, SAI("t", "input_value", "6"))
+    assert out == [Call("multiply", Ref("den1"), Ref("den2"))]
+    wm = make_wm(("b", 7), ("a", 3))
+    assert [sexpr(e) for e in explain(wm, SAI("t", "input_value", "4"))] == \
+        ["(subtract b a)"]
 
 
 # -- generalize ------------------------------------------------------------

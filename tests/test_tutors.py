@@ -174,6 +174,35 @@ def test_randbelow_reproduces_randint_and_choice(seed, draws):
     assert ours.getstate() == theirs.getstate()
 
 
+_PINS = [None] + [(op, layout) for op in ("+", "-", "*", "/")
+                  for layout in ("given_first", "box_first")]
+
+
+def test_box_generator_draws_are_pinned():
+    # Every difficulty x constraint, free and with each (op2, layout) pinned,
+    # plus the box curriculum, from one stream per seed: any change to which
+    # draws are made, or in what order, changes the digest.
+    import hashlib
+
+    from simtutor.experiment import _box_curriculum
+
+    records = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for difficulty in ("easy", "hard"):
+            for constraint in ("constrained", "unconstrained"):
+                for pin in _PINS:
+                    op2, layout = pin or (None, None)
+                    records += [gen_box_problem(difficulty, constraint, rng,
+                                                f"p{i}", op2, layout).to_record()
+                                for i in range(2)]
+        for constraint in ("constrained", "unconstrained"):
+            records += [s.to_record() for s in _box_curriculum(constraint, rng, "c")]
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == \
+        "068924c3beba9e9b015e7fc728d2670a5eb50490c4f7df2bc73a8e64ee7f874c"
+
+
 def test_candidate_count_matches_brute_force_on_random_sets():
     rng = random.Random(8)
     for _ in range(300):
