@@ -7,19 +7,16 @@ nothing and are deterministic given the same experience stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .induction import Skill, induce_from_demo, refine_conditions
 from .state import (
     CORRECT,
     ERROR,
-    FieldState,
     HINT,
     INPUT_VALUE,
     SAI,
     InvariantError,
-    MalformedTutorError,
     ProtocolError,
     WorkingMemory,
     render_value,
@@ -39,14 +36,7 @@ def perceive(session) -> WorkingMemory:
     ``run_problem`` perceives once per problem and then derives each later
     state with ``WorkingMemory.with_value``.
     """
-    snapshot = session.snapshot()
-    family = session.family
-    for role, _value, _editable in snapshot:
-        if role not in family.layout:
-            raise MalformedTutorError(f"role {role!r} not in the tutor's layout")
-    return WorkingMemory(
-        [(role, FieldState(role, value, editable))
-         for role, value, editable in snapshot], family)
+    return WorkingMemory.from_snapshot(session.snapshot(), session.family)
 
 
 def activations(wm: WorkingMemory, skills, excluded=frozenset()):
@@ -117,8 +107,7 @@ def apply_feedback(skills, activation: Activation, correct: bool,
                          f"{activation.skill.skill_id!r}")
 
 
-@dataclass
-class ProblemResult:
+class ProblemResult(NamedTuple):
     """Outcome of one problem: per-step transactions plus overall correctness."""
 
     correct: bool

@@ -60,11 +60,6 @@ class TrialRecord(NamedTuple):
                 problem_type, str(opportunity), step_id, outcome,
                 "1" if problem_correct else "0")
 
-    @staticmethod
-    def from_row(row):
-        """The record for one ``transactions.csv`` row; ``ValueError`` if malformed."""
-        return _record(row, _Memo(_text), _Memo(_integer))
-
 
 class _Memo(dict):
     """Token -> parsed value; a token is parsed on first sight, then looked up."""
@@ -286,7 +281,8 @@ def run_study(config: ExperimentConfig, problem_sets=None):
              for rep in range(config.replications)
              for idx in range(config.n_agents)]
     if config.jobs > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
+        # At most one worker per chunk of 8 tasks: a spare one only forks.
+        with multiprocessing.Pool(min(config.jobs, -(-len(tasks) // 8))) as pool:
             results = pool.map(_worker, tasks, chunksize=8)
     else:
         results = [_worker(t) for t in tasks]

@@ -296,8 +296,11 @@ def refine_conditions(skill: Skill, wm: WorkingMemory, correct: bool) -> Skill:
     """
     sat = wm.predicates
     if correct:
-        skill.conditions = skill.conditions & sat
-        skill.required = skill.required & sat
+        # Most correct steps drop nothing: keep the sets rather than copy them.
+        if not skill.conditions <= sat:
+            skill.conditions = skill.conditions & sat
+        if not skill.required <= sat:
+            skill.required = skill.required & sat
     else:
         skill.required = skill.required | frozenset(
             p for p in skill.conditions if p not in sat)

@@ -7,7 +7,7 @@ against one field, selected by its role.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 INPUT_VALUE = "input_value"
@@ -57,24 +57,19 @@ class FieldState(NamedTuple):
     value: object = None
     editable: bool = False
 
-    @property
-    def filled(self) -> bool:
-        return self.value is not None
 
+class SAI(NamedTuple("SAI", [("selection", str), ("action", str),
+                              ("input", str | None)])):
+    """A (selection, action, input) step proposal; a named tuple, checked as built."""
 
-@dataclass(frozen=True)
-class SAI:
-    """A (selection, action, input) step proposal submitted to a tutor."""
+    __slots__ = ()
 
-    selection: str
-    action: str
-    input: str | None = None
-
-    def __post_init__(self):
-        if self.action not in ACTIONS:
-            raise InvariantError(f"unknown action {self.action!r}")
-        if (self.input is not None) != (self.action == INPUT_VALUE):
+    def __new__(cls, selection, action, input=None):
+        if action not in ACTIONS:
+            raise InvariantError(f"unknown action {action!r}")
+        if (input is not None) != (action == INPUT_VALUE):
             raise InvariantError("input is present iff action is input_value")
+        return tuple.__new__(cls, (selection, action, input))
 
 
 def render_value(value) -> str:
@@ -90,6 +85,19 @@ def render_value(value) -> str:
 
 def _fill_literal(role, state):
     return ("filled", role) if state.value is not None else ("empty", role)
+
+
+@cache
+def _shape(layout, kinds, editable):
+    """Fill literals, open roles, blank fields, and filled and numeric field
+    indices shared by every snapshot of ``layout`` with these value types (None
+    when empty) and editable flags; cached by shape alone, never by value."""
+    empty = [kind is type(None) for kind in kinds]
+    literals = frozenset(("empty" if e else "filled", r) for r, e in zip(layout, empty))
+    open_roles = frozenset(r for r, e, ed in zip(layout, empty, editable) if e and ed)
+    blank = {r: FieldState(r, None, ed) for r, ed in zip(layout, editable)}
+    filled = [i for i, e in enumerate(empty) if not e]
+    return literals, open_roles, blank, filled, [i for i in filled if kinds[i] is int]
 
 
 class WorkingMemory:
@@ -132,6 +140,30 @@ class WorkingMemory:
         self.values = values
         self.open_roles = frozenset(open_roles)
 
+    @classmethod
+    def from_snapshot(cls, snapshot, family):
+        """Working memory of a snapshot of (role, value, editable) triples.  One
+        in layout order, as a ``TutorSession`` gives, builds only its filled fields
+        and values over a cached shape; any other goes through the constructor."""
+        columns = tuple(zip(*snapshot))  # roles, values, editable flags
+        if not columns or columns[0] != family.layout:
+            for role, _value, _editable in snapshot:
+                if role not in family.layout:
+                    raise MalformedTutorError(f"role {role!r} not in the tutor's layout")
+            return cls([(r, FieldState(r, v, e)) for r, v, e in snapshot], family)
+        roles, values, editable = columns
+        literals, open_roles, blank, filled, numeric = _shape(
+            roles, tuple(map(type, values)), editable)
+        wm = cls.__new__(cls)
+        wm.fields = fields = blank.copy()
+        for i in filled:  # a snapshot triple holds a FieldState's fields in order
+            fields[roles[i]] = tuple.__new__(FieldState, snapshot[i])
+        wm.family = family
+        wm.predicates = literals.union(family.derive(fields))
+        wm.values = {roles[i]: values[i] for i in numeric}
+        wm.open_roles = open_roles
+        return wm
+
     def with_value(self, role, value) -> WorkingMemory:
         """Working memory after field ``role`` takes ``value``; ``self`` is unchanged.
 
@@ -139,8 +171,9 @@ class WorkingMemory:
         filled/empty literal, plus the derived predicates when the field is
         one of the family's derive inputs.
         """
-        old = self.field(role)
-        new = FieldState(role, value, old.editable)
+        # A FieldState is never falsy; field() raises on an unknown role.
+        old = self.fields.get(role) or self.field(role)
+        new = tuple.__new__(FieldState, (role, value, old.editable))
         fields = self.fields.copy()
         fields[role] = new
         wm = WorkingMemory.__new__(WorkingMemory)
@@ -148,11 +181,13 @@ class WorkingMemory:
         wm.family = family = self.family
         preds = self.predicates
         open_roles = self.open_roles
-        if old.filled != new.filled:
-            preds = preds.difference((_fill_literal(role, old),)).union(
-                (_fill_literal(role, new),))
-            if new.editable:
-                open_roles = (open_roles.difference((role,)) if new.filled
+        filled = value is not None
+        if (old.value is not None) != filled:
+            # Swaps the field's literal: the old one is in, the new one is not.
+            preds = preds.symmetric_difference(
+                (_fill_literal(role, old), _fill_literal(role, new)))
+            if old.editable:
+                open_roles = (open_roles.difference((role,)) if filled
                               else open_roles.union((role,)))
         if family is not None and role in family.derive_inputs:
             preds = preds.difference(family.derive(self.fields)).union(

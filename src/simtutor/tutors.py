@@ -9,7 +9,6 @@ steps in any order, with done last, and its first error ends the attempt.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .state import (
@@ -41,7 +40,7 @@ class TutorFamily(NamedTuple):
 def _fraction_predicates(fields):
     preds = set()
     op = fields.get("op")
-    if op is not None and op.filled:
+    if op is not None and op.value is not None:
         preds.add(("op_equals", op.value))
     d1, d2 = fields.get("den1"), fields.get("den2")
     if (d1 is not None and d2 is not None and type(d1.value) is int
@@ -58,7 +57,7 @@ def _box_predicates(fields):
     preds = set()
     for role in ("r1_op", "r2_op"):
         st = fields.get(role)
-        if st is not None and st.filled:
+        if st is not None and st.value is not None:
             preds.add(("op_is", role, st.value))
     return preds
 
@@ -89,15 +88,13 @@ FRACTION_TYPES = ("add_same", "add_diff", "multiply")
 MAX_DRAWS = 10_000
 
 
-@dataclass(frozen=True)
-class CanonicalStep:
+class CanonicalStep(NamedTuple):
     role: str
     action: str
     expected: str | None = None  # input token; None for check/done steps
 
 
-@dataclass(frozen=True)
-class ProblemScript:
+class ProblemScript(NamedTuple):
     problem_id: str
     family: str
     problem_type: str
@@ -112,7 +109,7 @@ class ProblemScript:
             "family": self.family,
             "type": self.problem_type,
             "givens": self.given_fields,
-            "steps": [(s.role, s.action, s.expected) for s in self.canonical_steps],
+            "steps": self.canonical_steps,
             "tags": list(self.condition_tags),
             "editable": sorted(self.editable_roles),
         }, sort_keys=True)
@@ -120,15 +117,9 @@ class ProblemScript:
     @staticmethod
     def from_record(line: str) -> "ProblemScript":
         raw = json.loads(line)
-        return ProblemScript(
-            problem_id=raw["problem_id"],
-            family=raw["family"],
-            problem_type=raw["type"],
-            given_fields=raw["givens"],
-            canonical_steps=tuple(CanonicalStep(*s) for s in raw["steps"]),
-            condition_tags=tuple(raw["tags"]),
-            editable_roles=frozenset(raw["editable"]),
-        )
+        return ProblemScript(raw["problem_id"], raw["family"], raw["type"], raw["givens"],
+                             tuple(CanonicalStep(*s) for s in raw["steps"]),
+                             tuple(raw["tags"]), frozenset(raw["editable"]))
 
 
 class TutorSession:
@@ -221,9 +212,24 @@ class TutorSession:
         step = self.next_step()
         if step is None:
             raise ProtocolError("no step left to demonstrate")
-        sai = SAI(step.role, step.action, step.expected)
+        sai = SAI(*step)
         self._lock(step, sai)
         return step.role, sai
+
+
+def randbelow(rng, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, drawn as CPython's ``Random`` draws it.
+
+    ``randint(lo, hi)`` is ``lo + randbelow(rng, hi - lo + 1)`` and
+    ``choice(seq)`` is ``seq[randbelow(rng, len(seq))]``: the same
+    ``getrandbits`` calls, so the values and the generator's state afterwards
+    are identical, without ``randrange``'s argument checks on every draw.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 # --------------------------------------------------------------------------
@@ -234,14 +240,15 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
     """One fraction item: numerators 1-9, denominators 2-12, unsimplified answers."""
     if problem_type not in FRACTION_TYPES:
         raise ConfigError(f"unknown fraction problem type {problem_type!r}")
-    n1, n2 = rng.randint(1, 9), rng.randint(1, 9)
-    d1 = rng.randint(2, 12)
+    # randint(1, 9) and randint(2, 12), on the same stream (see randbelow).
+    n1, n2 = 1 + randbelow(rng, 9), 1 + randbelow(rng, 9)
+    d1 = 2 + randbelow(rng, 11)
     if problem_type == "add_same":
         d2 = d1
     else:
-        d2 = rng.randint(2, 12)
+        d2 = 2 + randbelow(rng, 11)
         while problem_type == "add_diff" and d2 == d1:
-            d2 = rng.randint(2, 12)
+            d2 = 2 + randbelow(rng, 11)
     op = "x" if problem_type == "multiply" else "+"
     givens = {"num1": n1, "den1": d1, "op": op, "num2": n2, "den2": d2}
 
@@ -285,21 +292,6 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
 
 _BOX_OPS = ("+", "-", "*", "/")
 _SLOTS = ("given_first", "box_first")
-
-
-def randbelow(rng, n: int) -> int:
-    """``rng.randrange(n)`` for ``n >= 1``, drawn as CPython's ``Random`` draws it.
-
-    ``randint(lo, hi)`` is ``lo + randbelow(rng, hi - lo + 1)`` and
-    ``choice(seq)`` is ``seq[randbelow(rng, len(seq))]``: the same
-    ``getrandbits`` calls, so the values and the generator's state afterwards
-    are identical, without ``randrange``'s argument checks on every draw.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
 
 
 def _whole_op(op: str, a: int, b: int):

@@ -6,6 +6,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,39 @@ def test_run_study_is_deterministic_and_job_count_independent():
     serial = run_study(base)
     parallel = run_study(fractions_config(n_agents=4, replications=1, seed=5, jobs=2))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("n_agents, replications, jobs, workers", [
+    (2, 1, 8, 1),    # 2 tasks: one chunk of 8
+    (9, 1, 8, 2),    # 9 tasks: two chunks
+    (4, 4, 8, 2),    # 16 tasks: two full chunks
+    (17, 1, 2, 2),   # three chunks, two jobs
+])
+def test_run_study_starts_no_more_workers_than_chunks(
+        monkeypatch, n_agents, replications, jobs, workers):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == 8
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(experiment.multiprocessing, "Pool", SerialPool)
+    cfg = fractions_config(n_agents=n_agents, replications=replications,
+                           seed=5, jobs=jobs)
+    rows = run_study(cfg)
+    assert started == [workers]
+    if n_agents == 2:
+        assert rows == run_study(replace(cfg, jobs=1))
 
 
 def test_tiny_logs_match_their_golden_digests():

@@ -1,15 +1,18 @@
 """Incremental working memory and compiled procedures against their references.
 
-``run_problem`` perceives once per problem and derives every later state with
+``run_problem`` perceives once per problem, through a per-shape cache of fill
+literals and open roles, and derives every later state with
 ``WorkingMemory.with_value``; skills match through compiled closures instead
-of ``evaluate``.  These properties check both shortcuts against the slow,
-obviously-correct paths they replace.
+of ``evaluate``.  These properties check each shortcut against the slow,
+obviously-correct path it replaces.
 """
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from simtutor.state import (
     INPUT_VALUE,
     SAI,
     FieldState,
+    MalformedTutorError,
     WorkingMemory,
     render_value,
 )
@@ -73,10 +77,34 @@ def _wrong(step):
     return SAI(step.role, INPUT_VALUE, "0")
 
 
+def reference_memory(session):
+    """Working memory of ``session`` through the checked constructor."""
+    return WorkingMemory([(r, FieldState(r, v, e)) for r, v, e in session.snapshot()],
+                         session.family)
+
+
+def _act(session, script, mode, action, pick):
+    """Apply one drawn action; returns (the role it changed or None, outcome)."""
+    if action == "demo" and mode == "training":
+        changed, _demo = session.demonstrate()
+        return changed, CORRECT
+    if mode == "training":
+        step = session.next_step()
+    else:  # posttest accepts any unlocked step, in any order
+        unlocked = [s for s in script.canonical_steps if session.value(s.role) is None]
+        step = unlocked[pick % len(unlocked)]
+    sai = SAI(step.role, step.action, step.expected) if action == "correct" else _wrong(step)
+    outcome = session.submit(sai)
+    return (sai.selection if outcome == CORRECT else None), outcome
+
+
+_MODES = st.sampled_from(("training", "posttest"))
+_ACTIONS = st.lists(st.tuples(st.sampled_from(("correct", "wrong", "demo")),
+                              st.integers(0, 7)), max_size=12)
+
+
 @settings(max_examples=300, deadline=None)
-@given(script=scripts(), mode=st.sampled_from(("training", "posttest")),
-       actions=st.lists(st.tuples(st.sampled_from(("correct", "wrong", "demo")),
-                                  st.integers(0, 7)), max_size=12))
+@given(script=scripts(), mode=_MODES, actions=_ACTIONS)
 def test_derived_memory_equals_fresh_perception(script, mode, actions):
     session = TutorSession(script, mode)
     wm = perceive(session)
@@ -84,25 +112,54 @@ def test_derived_memory_equals_fresh_perception(script, mode, actions):
     for action, pick in actions:
         if (mode == "posttest" and outcome == ERROR) or session.next_step() is None:
             break
-        before = perceive(session)
-        if action == "demo" and mode == "training":
-            changed, _demo = session.demonstrate()
-        else:
-            if mode == "training":
-                step = session.next_step()
-            else:  # posttest accepts any unlocked step, in any order
-                unlocked = [s for s in script.canonical_steps
-                            if session.value(s.role) is None]
-                step = unlocked[pick % len(unlocked)]
-            sai = SAI(step.role, step.action, step.expected) \
-                if action == "correct" else _wrong(step)
-            outcome = session.submit(sai)
-            changed = sai.selection if outcome == CORRECT else None
+        before = reference_memory(session)
+        changed, outcome = _act(session, script, mode, action, pick)
         previous = wm
         if changed is not None:
             wm = wm.with_value(changed, session.value(changed))
-        assert_same_memory(wm, perceive(session))
+        assert_same_memory(wm, reference_memory(session))
         assert_same_memory(previous, before)  # copy on write
+
+
+# -- perception through the shape cache against the checked constructor -----
+
+@settings(max_examples=300, deadline=None)
+@given(script=scripts(), mode=_MODES, actions=_ACTIONS)
+def test_perception_equals_the_reference_constructor(script, mode, actions):
+    session = TutorSession(script, mode)
+    assert_same_memory(perceive(session), reference_memory(session))
+    outcome = CORRECT
+    for action, pick in actions:
+        if (mode == "posttest" and outcome == ERROR) or session.next_step() is None:
+            break
+        _changed, outcome = _act(session, script, mode, action, pick)
+        assert_same_memory(perceive(session), reference_memory(session))
+
+
+class _Snapshot:
+    """A stand-in session that shows a fixed snapshot."""
+
+    def __init__(self, snapshot, family):
+        self.snapshot = lambda: snapshot
+        self.family = family
+
+
+@pytest.mark.parametrize("family, script", [
+    (FRACTION_FAMILY, gen_fraction_problem("add_diff", random.Random(1), "p")),
+    (BOX_FAMILY, gen_box_problem("hard", "constrained", random.Random(1), "p")),
+])
+def test_malformed_snapshots_raise_after_a_good_one_of_the_same_length(family, script):
+    good = TutorSession(script, "training").snapshot()
+    perceive(_Snapshot(good, family))  # fills the shape cache
+    first, second = good[0], good[1]
+    alien = [("zzz", *first[1:])] + good[1:]
+    duplicate = [first, (first[0], *second[1:])] + good[2:]
+    cases = [(alien, "role 'zzz' not in the tutor's layout"),
+             (duplicate, f"duplicate role {first[0]!r}"),
+             ([], "empty tutor snapshot")]
+    for snapshot, message in cases:
+        with pytest.raises(MalformedTutorError, match=re.escape(message)):
+            perceive(_Snapshot(snapshot, family))
 
 
 # -- arbitrary single-field changes, including the derived-predicate inputs --

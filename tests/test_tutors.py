@@ -14,9 +14,17 @@ from hypothesis.stateful import (
     rule,
 )
 
-from simtutor.state import CORRECT, ERROR, SAI, ConfigError, ProtocolError
+from simtutor.state import (
+    CORRECT,
+    ERROR,
+    SAI,
+    ConfigError,
+    InvariantError,
+    ProtocolError,
+)
 from simtutor.tutors import (
     FRACTION_TYPES,
+    CanonicalStep,
     ProblemScript,
     TutorSession,
     ambiguity_count,
@@ -154,8 +162,9 @@ def test_unsatisfiable_generation_is_surfaced():
         gen_box_problem("hard", "constrained", StuckRng(), "p")
 
 
-# Every range the box generators and the box curriculum draw from, plus n = 1.
+# Every range the generators and the box curriculum draw from, plus n = 1.
 _DRAWS = [("randint", (1, 30)), ("randint", (2, 30)), ("randint", (4, 4)),
+          ("randint", (1, 9)), ("randint", (2, 12)),
           ("choice", ("+", "-", "*", "/")), ("choice", ("given_first", "box_first")),
           ("choice", tuple(range(8)))]
 
@@ -201,6 +210,27 @@ def test_box_generator_draws_are_pinned():
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == \
         "068924c3beba9e9b015e7fc728d2670a5eb50490c4f7df2bc73a8e64ee7f874c"
+
+
+def test_fraction_generator_draws_are_pinned():
+    # Every fraction type, plus both training sequences and the posttest, from
+    # one stream per seed: any change to the draws or their order fails here.
+    import hashlib
+
+    from simtutor.experiment import _fractions_posttest, sequence_fractions
+
+    records = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for ptype in FRACTION_TYPES:
+            records += [gen_fraction_problem(ptype, rng, f"p{i}").to_record()
+                        for i in range(4)]
+        for condition in ("blocked", "interleaved"):
+            records += [s.to_record() for s in sequence_fractions(condition, rng, "c")]
+        records += [s.to_record() for s in _fractions_posttest(rng, "t")]
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == \
+        "047e02d750546ea279193234c26b25e531c63eacb85725b062c79af3f065b8b9"
 
 
 def test_candidate_count_matches_brute_force_on_random_sets():
@@ -321,6 +351,27 @@ def _generate(kind, rng, problem_id):
 def test_script_records_round_trip(kind, seed):
     s = _generate(kind, random.Random(seed), f"p{seed}")
     assert ProblemScript.from_record(s.to_record()) == s
+
+
+def test_step_records_are_checked_named_tuples_that_survive_round_trips():
+    import pickle
+
+    script = gen_fraction_problem("add_diff", random.Random(5), "p")
+    sai = SAI("answer_num", "input_value", "7")
+    for value in (sai, SAI("done", "press_done"), script.canonical_steps[0], script):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+    replayed = ProblemScript.from_record(script.to_record())
+    assert replayed == script and type(replayed) is ProblemScript
+    assert [type(s) for s in replayed.canonical_steps] == \
+        [CanonicalStep] * len(script.canonical_steps)
+    assert replayed.to_record() == script.to_record()
+    # Named tuples compare as tuples.
+    assert sai == ("answer_num", "input_value", "7")
+    with pytest.raises(InvariantError, match="unknown action"):
+        SAI("answer_num", "poke")
+    with pytest.raises(InvariantError, match="input is present iff"):
+        SAI("done", "press_done", "7")
 
 
 # -- the session contract as a state machine ---------------------------------
