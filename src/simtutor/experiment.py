@@ -9,10 +9,10 @@ problem) order, making output independent of scheduling.
 from __future__ import annotations
 
 import csv
-import json
 import multiprocessing
 import random
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import NamedTuple
 
 from .agent import Agent, run_problem
@@ -37,6 +37,10 @@ CONDITIONS = {"fractions": ("blocked", "interleaved"),
 
 COLUMNS = ("agent_id", "replication", "condition", "phase", "problem_id",
            "problem_type", "opportunity", "step_id", "outcome", "problem_correct")
+# One log row as ``csv.writer`` writes ``as_row()`` when no field is quoted.
+_LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d\r\n"
+# Rows formatted at once: enough to amortize the checks, few enough for flat RSS.
+WRITE_CHUNK = 1024
 
 
 class TrialRecord(NamedTuple):
@@ -224,7 +228,8 @@ def _generate_sets(config: ExperimentConfig, replication: int, agent_index: int)
 
 def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
               problems=None):
-    """Simulate one agent; returns its transaction rows in order."""
+    """Simulate one agent; returns one plain tuple per step, in ``COLUMNS``
+    order, which ``run_study`` makes a ``TrialRecord`` once out of the pool."""
     condition = agent_condition(config, agent_index)
     agent_id = f"a{agent_index:03d}"
 
@@ -248,7 +253,7 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
             if log:
                 correct = result.correct
                 for step_role, outcome in result.steps:
-                    rows.append(TrialRecord(
+                    rows.append((
                         agent_id, replication, condition, phase, problem_id,
                         problem_type, opp, step_role, outcome, correct))
             opportunities[problem_type] = opp + 1
@@ -262,11 +267,10 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
 def _worker(args):
     config, replication, agent_index, problems = args
     try:
-        rows = run_agent(config, replication, agent_index, problems)
+        return run_agent(config, replication, agent_index, problems)
     except SIMULATION_ERRORS as exc:
         raise type(exc)(f"replication {replication}, agent {agent_index}: "
                         f"{exc}") from exc
-    return replication, agent_index, rows
 
 
 def run_study(config: ExperimentConfig, problem_sets=None):
@@ -286,8 +290,12 @@ def run_study(config: ExperimentConfig, problem_sets=None):
             results = pool.map(_worker, tasks, chunksize=8)
     else:
         results = [_worker(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-    return [row for _rep, _idx, rows in results for row in rows]
+    # In task order; each cell's list is freed once its records are built.
+    records = []
+    for i, rows in enumerate(results):
+        records += [tuple.__new__(TrialRecord, row) for row in rows]
+        results[i] = None
+    return records
 
 
 def dump_problem_sets(config: ExperimentConfig):
@@ -305,38 +313,30 @@ def dump_problem_sets(config: ExperimentConfig):
     return sets
 
 
-def save_problem_sets(path, sets):
-    """Persist problem sets as JSON lines keyed by (replication, agent)."""
-    with open(path, "w") as fh:
-        for (rep, idx), groups in sorted(sets.items()):
-            fh.write(json.dumps({"replication": rep, "agent": idx, **groups},
-                                sort_keys=True) + "\n")
-
-
-def load_problem_sets(path):
-    sets = {}
-    with open(path) as fh:
-        for line in fh:
-            raw = json.loads(line)
-            sets[(raw["replication"], raw["agent"])] = {
-                "pretrain": raw["pretrain"],
-                "training": raw["training"],
-                "posttest": raw["posttest"],
-            }
-    return sets
-
-
 def filter_hard(records):
     """Scoring restriction for the box study: hard problems only."""
     return [r for r in records if r.problem_type == "box_hard"]
 
 
 def write_transactions(path, records):
+    """Write the log exactly as ``csv.writer`` writes each ``as_row()``.
+
+    A chunk of rows whose formatted text holds 9 commas, one CR, one LF and
+    no quote per row has no field to quote, and is written as formatted; any
+    other chunk goes through ``csv.writer``.  Fields must have the types
+    ``TrialRecord`` declares (a ``bool`` ``problem_correct``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
-        for rec in records:
-            writer.writerow(rec.as_row())
+        rows = iter(records)
+        while chunk := list(islice(rows, WRITE_CHUNK)):
+            text = "".join(map(_LINE.__mod__, chunk))
+            n = len(chunk)
+            if (text.count(",") == 9 * n and text.count("\r") == n
+                    and text.count("\n") == n and '"' not in text):
+                fh.write(text)
+            else:
+                writer.writerows(rec.as_row() for rec in chunk)
 
 
 def read_transactions(path):

@@ -153,9 +153,9 @@ class TutorSession:
     def next_step(self):
         """The first canonical step not yet locked, or None when all are."""
         # Locked steps stay locked, so the scan resumes where it last stopped.
-        steps = self.script.canonical_steps
+        steps, locked = self.script.canonical_steps, self._locked
         i = self._cursor
-        while i < len(steps) and steps[i].role in self._locked:
+        while i < len(steps) and steps[i].role in locked:
             i += 1
         self._cursor = i
         return steps[i] if i < len(steps) else None
@@ -164,20 +164,18 @@ class TutorSession:
     def judged_correct(self) -> bool:
         return self.next_step() is None and not self._dead
 
-    def _matches(self, step: CanonicalStep, sai: SAI) -> bool:
-        if sai.action != step.action:
-            return False
-        if step.action == INPUT_VALUE:
-            return sai.input == step.expected
-        return True
+    @staticmethod
+    def _matches(step: CanonicalStep, action: str, token) -> bool:
+        _role, step_action, expected = step
+        return action == step_action and (action != INPUT_VALUE or token == expected)
 
-    def _lock(self, step: CanonicalStep, sai: SAI):
-        self._locked.add(step.role)
-        if step.action == INPUT_VALUE:
-            token = sai.input
-            self._values[step.role] = int(token) if token.lstrip("-").isdigit() else token
+    def _lock(self, step: CanonicalStep, token):
+        role, action, _expected = step
+        self._locked.add(role)
+        if action == INPUT_VALUE:
+            self._values[role] = int(token) if token.lstrip("-").isdigit() else token
         else:
-            self._values[step.role] = True
+            self._values[role] = True
 
     def submit(self, sai: SAI) -> str:
         """Judge one step: ``CORRECT`` locks it in, ``ERROR`` changes no field.
@@ -185,24 +183,26 @@ class TutorSession:
         Training accepts only the next canonical step.  Posttest accepts any
         unlocked step, with ``done`` last, and an ``ERROR`` ends the attempt.
         """
+        selection, action, token = sai
         step = self.next_step()
         if self._dead or step is None:
             raise ProtocolError("session is not accepting steps")
+        locked = self._locked
         if self.mode == "training":
-            if sai.selection in self._locked:
-                raise ProtocolError(f"field {sai.selection!r} is locked")
-            ok = sai.selection == step.role and self._matches(step, sai)
+            if selection in locked:
+                raise ProtocolError(f"field {selection!r} is locked")
+            ok = selection == step.role and self._matches(step, action, token)
         else:
             steps = self.script.canonical_steps
-            step = next((s for s in steps if s.role == sai.selection
-                         and s.role not in self._locked), None)
-            ok = step is not None and self._matches(step, sai)
-            if ok and step.action == PRESS_DONE:
-                ok = all(s.role in self._locked for s in steps if s.role != step.role)
+            step = next((s for s in steps if s.role == selection
+                         and s.role not in locked), None)
+            ok = step is not None and self._matches(step, action, token)
+            if ok and action == PRESS_DONE:
+                ok = all(s.role in locked for s in steps if s.role != selection)
             self._dead = not ok
         if not ok:
             return ERROR
-        self._lock(step, sai)
+        self._lock(step, token)
         return CORRECT
 
     def demonstrate(self):
@@ -212,9 +212,8 @@ class TutorSession:
         step = self.next_step()
         if step is None:
             raise ProtocolError("no step left to demonstrate")
-        sai = SAI(*step)
-        self._lock(step, sai)
-        return step.role, sai
+        self._lock(step, step.expected)
+        return step.role, SAI(*step)
 
 
 def randbelow(rng, n: int) -> int:

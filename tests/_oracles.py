@@ -7,13 +7,17 @@ convention (commutative operands in sorted order).  ``evaluate`` and
 through compiled procedures and cross-multiplied integers.
 ``materialized_explain`` is the order oracle for ``induction.explain``: the
 search as it ran before it scanned each depth first, building every level in
-full through ``induction._compose_level``.
+full through ``induction._compose_level``.  ``csv_write_transactions`` is the
+byte reference for ``experiment.write_transactions``: ``csv.writer`` over
+each record's ``as_row()``.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 from fractions import Fraction
 
+from simtutor.experiment import COLUMNS
 from simtutor.induction import (
     Lit,
     Ref,
@@ -102,6 +106,15 @@ def brute_candidates(values, answer):
             else:
                 seen.add((op, a, b))
     return len(seen)
+
+
+def csv_write_transactions(path, records):
+    """The transaction log as ``csv.writer`` writes it, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COLUMNS)
+        for rec in records:
+            writer.writerow(rec.as_row())
 
 
 def reference_problem_outcomes(records, phase):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import pickle
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simtutor import experiment
@@ -27,6 +28,8 @@ from simtutor.experiment import (
     write_transactions,
 )
 from simtutor.state import ConfigError, ProtocolError
+
+from _oracles import csv_write_transactions
 
 
 # -- sequencing ---------------------------------------------------------------
@@ -183,15 +186,51 @@ def test_replaying_dumped_problem_sets_reproduces_the_log():
     assert direct == replayed
 
 
-def test_replaying_a_persisted_problem_file_reproduces_the_log(tmp_path):
-    from simtutor.experiment import load_problem_sets, save_problem_sets
+def save_problem_sets(path, sets):
+    """Persist problem sets as JSON lines keyed by (replication, agent)."""
+    with open(path, "w") as fh:
+        for (rep, idx), groups in sorted(sets.items()):
+            fh.write(json.dumps({"replication": rep, "agent": idx, **groups},
+                                sort_keys=True) + "\n")
 
+
+def load_problem_sets(path):
+    sets = {}
+    with open(path) as fh:
+        for line in fh:
+            raw = json.loads(line)
+            sets[(raw["replication"], raw["agent"])] = {
+                "pretrain": raw["pretrain"],
+                "training": raw["training"],
+                "posttest": raw["posttest"],
+            }
+    return sets
+
+
+def test_replaying_a_persisted_problem_file_reproduces_the_log(tmp_path):
     cfg = box_arrows_config(n_agents=2, replications=1, seed=4)
     direct = run_study(cfg)
     path = tmp_path / "problems.jsonl"
     save_problem_sets(path, dump_problem_sets(cfg))
     replayed = run_study(cfg, problem_sets=load_problem_sets(path))
     assert direct == replayed
+
+
+def test_cells_hand_back_plain_rows():
+    cfg = box_arrows_config(n_agents=2, replications=1, seed=3)
+    rows = experiment.run_agent(cfg, 0, 1)
+    assert rows and all(type(r) is tuple for r in rows)
+    assert all(len(r) == len(COLUMNS) for r in rows)
+    assert b"TrialRecord" not in pickle.dumps(experiment._worker((cfg, 0, 1, None)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_study_builds_records_in_cell_order(jobs):
+    cfg = box_arrows_config(n_agents=2, replications=2, seed=3, jobs=jobs)
+    records = run_study(cfg)
+    assert all(type(r) is TrialRecord for r in records)
+    assert records == [row for rep in range(2) for idx in range(2)
+                       for row in experiment.run_agent(cfg, rep, idx)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -305,12 +344,23 @@ def test_read_transactions_keeps_few_bytes_per_row(tmp_path, small_fraction_log)
 # Any text a CSV file can hold; lone surrogates cannot be encoded.
 _texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 
-records = st.builds(
-    TrialRecord, agent_id=_texts, replication=st.integers(-5, 10**6),
-    condition=_texts, phase=_texts, problem_id=_texts, problem_type=_texts,
-    opportunity=st.integers(-5, 10**6), step_id=_texts,
-    outcome=st.sampled_from(("CORRECT", "ERROR", "HINT")),
-    problem_correct=st.booleans())
+# Text that no CSV field quotes (empty included), and text that may need quoting.
+_plain_texts = st.text(st.characters(blacklist_categories=("Cs",),
+                                     blacklist_characters=',"\r\n'), max_size=8)
+_quoted_texts = st.one_of(_plain_texts, st.sampled_from(
+    (",", '"', "\r", "\n", 'say "hi"', "a\r\nb")))
+
+
+def _records(texts):
+    return st.builds(
+        TrialRecord, agent_id=texts, replication=st.integers(-5, 10**6),
+        condition=texts, phase=texts, problem_id=texts, problem_type=texts,
+        opportunity=st.integers(-5, 10**6), step_id=texts,
+        outcome=st.sampled_from(("CORRECT", "ERROR", "HINT")),
+        problem_correct=st.booleans())
+
+
+records = _records(_texts)
 
 
 @pytest.fixture(scope="module")
@@ -326,10 +376,34 @@ def test_record_row_round_trip(log_path, rows):
     assert read_transactions(log_path) == rows
 
 
+_CHUNK = experiment.WRITE_CHUNK
+# A quote and a line break but no comma, so only a full guard sends it to csv.
+_QUOTED = TrialRecord('a"1', 0, "", "tutor", "p", "t", 0, "s\n", "ERROR", False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain=st.lists(_records(_plain_texts), min_size=1, max_size=4),
+       quoted=st.lists(st.tuples(st.integers(0, 4 * _CHUNK),
+                                 _records(_quoted_texts)), max_size=4),
+       tail=st.integers(1, _CHUNK - 1))
+@example(plain=[_QUOTED._replace(agent_id="a", step_id="s")],
+         quoted=[(_CHUNK + 3, _QUOTED)], tail=1)
+def test_writer_matches_csv_writer_byte_for_byte(log_path, plain, quoted, tail):
+    # Several chunks and a short tail; a few rows may need quoting.
+    n = 3 * _CHUNK + tail
+    log = (plain * n)[:n]
+    for position, record in quoted:
+        log[position % n] = record
+    reference = log_path.with_name("reference.csv")
+    write_transactions(log_path, log)
+    csv_write_transactions(reference, log)
+    assert log_path.read_bytes() == reference.read_bytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(records, max_size=6))
 def test_records_survive_pickling(rows):
-    # What a pool worker sends back to the parent.
+    # Records pickle as themselves, for callers that pass them between processes.
     copies = pickle.loads(pickle.dumps(rows))
     assert copies == rows
     assert all(type(r) is TrialRecord for r in copies)
