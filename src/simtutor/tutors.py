@@ -212,8 +212,9 @@ class TutorSession:
         step = self.next_step()
         if step is None:
             raise ProtocolError("no step left to demonstrate")
+        sai = SAI(*step)  # checked before the step is locked in
         self._lock(step, step.expected)
-        return step.role, SAI(*step)
+        return step.role, sai
 
 
 def randbelow(rng, n: int) -> int:

@@ -301,6 +301,15 @@ def test_demonstrations_follow_canonical_order():
     assert sai.input == expected
 
 
+def test_demonstrating_a_malformed_step_raises_before_locking_it():
+    script = _script("add_same")._replace(
+        canonical_steps=(CanonicalStep("answer_num", "input_value"),))
+    session = TutorSession(script, "training")
+    with pytest.raises(InvariantError, match="input is present iff"):
+        session.demonstrate()
+    assert session.next_step() == script.canonical_steps[0]
+
+
 def test_demonstrate_is_a_protocol_error_at_posttest():
     session = TutorSession(_script(), "posttest")
     with pytest.raises(ProtocolError):
