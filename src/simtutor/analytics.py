@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .experiment import filter_hard
+from .experiment import collector_paused, filter_hard
 from .state import ConfigError
 
 TYPE_REFERENCE = "add_diff"
@@ -81,8 +81,10 @@ class RegressionSummary:
         return "\n".join(lines)
 
 
+@collector_paused()
 def problem_outcomes(records, phase: str = "tutor"):
-    """Collapse step rows to one outcome per problem, with phase positions."""
+    """Collapse step rows to one outcome per problem, with phase positions.
+    Rows collapse by key, contiguous or not, and a key's first row wins."""
     seen = set()
     out = []
     positions: dict = {}

@@ -149,9 +149,11 @@ def _cmd_run(args):
     config = _resolve_config(args)
     out = args.out or _default_out(config.study, config.seed)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
+    marks = [time.perf_counter()]  # the start of each phase, and the end
     records = run_study(config)
+    marks.append(time.perf_counter())
     write_transactions(out / "transactions.csv", records)
+    marks.append(time.perf_counter())
     _write_csv(out / "curves.csv", curve_rows(learning_curve(records)))
 
     summaries = _regressions(config.study == "box_arrows", records)
@@ -168,6 +170,7 @@ def _cmd_run(args):
                              f"{est.p_value:.6g}"))
     (out / "regression.txt").write_text("\n".join(text_parts))
     _write_csv(out / "regression.csv", reg_rows)
+    marks.append(time.perf_counter())
 
     manifest = {
         "tool": "simtutor",
@@ -182,7 +185,9 @@ def _cmd_run(args):
         "seed": config.seed,
         "outputs": ["transactions.csv", "curves.csv", "regression.txt",
                     "regression.csv"],
-        "duration_seconds": round(time.perf_counter() - started, 3),
+        "duration_seconds": round(time.perf_counter() - marks[0], 3),
+        "phase_seconds": {phase: round(end - start, 3) for phase, start, end
+                          in zip(("simulate", "write", "fit"), marks, marks[1:])},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out}")
@@ -200,12 +205,10 @@ def _cmd_report(args):
         for cond, acc in accuracy_by_condition(filter_hard(records)).items():
             print(f"  {cond:15s} {acc:.3f}")
     else:
-        print("tutor accuracy by condition:")
-        for cond, acc in accuracy_by_condition(records, "tutor").items():
-            print(f"  {cond:15s} {acc:.3f}")
-        print("posttest accuracy by condition:")
-        for cond, acc in accuracy_by_condition(records, "posttest").items():
-            print(f"  {cond:15s} {acc:.3f}")
+        for phase in ("tutor", "posttest"):
+            print(f"{phase} accuracy by condition:")
+            for cond, acc in accuracy_by_condition(records, phase).items():
+                print(f"  {cond:15s} {acc:.3f}")
     for model, summary in _regressions(is_box, records).items():
         print(f"\n{model} regression:")
         if isinstance(summary, Exception):

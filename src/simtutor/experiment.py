@@ -9,10 +9,12 @@ problem) order, making output independent of scheduling.
 from __future__ import annotations
 
 import csv
+import gc
 import multiprocessing
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .agent import Agent, run_problem
@@ -39,8 +41,10 @@ COLUMNS = ("agent_id", "replication", "condition", "phase", "problem_id",
            "problem_type", "opportunity", "step_id", "outcome", "problem_correct")
 # One log row as ``csv.writer`` writes ``as_row()`` when no field is quoted.
 _LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d\r\n"
-# Rows formatted at once: enough to amortize the checks, few enough for flat RSS.
-WRITE_CHUNK = 1024
+# Rows formatted, or lines decoded (ten strings each), at once: enough to
+# amortize the checks, few enough for flat RSS.
+WRITE_CHUNK, READ_CHUNK = 1024, 256
+_OUTCOMES = frozenset(("CORRECT", "ERROR", "HINT"))
 
 
 class TrialRecord(NamedTuple):
@@ -109,7 +113,7 @@ def _record(row, texts, numbers):
         raise ValueError(f"expected {len(COLUMNS)} columns, got {row!r}")
     (agent_id, replication, condition, phase, problem_id, problem_type,
      opportunity, step_id, outcome, problem_correct) = row
-    if outcome not in ("CORRECT", "ERROR", "HINT"):
+    if outcome not in _OUTCOMES:
         raise ValueError(f"unknown outcome {outcome!r}")
     if problem_correct not in ("0", "1"):
         raise ValueError(
@@ -118,6 +122,39 @@ def _record(row, texts, numbers):
                        texts[phase], texts[problem_id], texts[problem_type],
                        numbers[opportunity], texts[step_id], texts[outcome],
                        problem_correct == "1")
+
+
+def _plain_records(lines, texts, numbers):
+    """The records of ``lines`` split on commas, as ``csv.reader`` splits ten
+    unquoted NUL-free fields ending in CRLF; None for other lines or a bad token."""
+    text, n = "".join(lines), len(lines)
+    if ('"' in text or "\0" in text or text.count("\r") != n
+            or text.count("\n") != n or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {9}):
+        return None
+    fields = text[:-2].replace("\r\n", ",").split(",")
+    columns = [fields[j::10] for j in range(10)]
+    if not (_OUTCOMES.issuperset(columns[8]) and {"0", "1"}.issuperset(columns[9])):
+        return None
+    parse = [(numbers if j in (1, 6) else texts).__getitem__ for j in range(9)]
+    try:
+        return list(map(tuple.__new__, repeat(TrialRecord),
+                        zip(*map(map, parse + ["1".__eq__], columns))))
+    except ValueError:
+        return None
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, then restore its state; also a decorator.
+    Records hold no reference cycle, so a collection would only walk them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -292,9 +329,10 @@ def run_study(config: ExperimentConfig, problem_sets=None):
         results = [_worker(t) for t in tasks]
     # In task order; each cell's list is freed once its records are built.
     records = []
-    for i, rows in enumerate(results):
-        records += [tuple.__new__(TrialRecord, row) for row in rows]
-        results[i] = None
+    with collector_paused():
+        for i, rows in enumerate(results):
+            records += map(tuple.__new__, repeat(TrialRecord), rows)
+            results[i] = None
     return records
 
 
@@ -339,17 +377,28 @@ def write_transactions(path, records):
                 writer.writerows(rec.as_row() for rec in chunk)
 
 
+@collector_paused()
 def read_transactions(path):
+    """Parse and check a whole log, ``READ_CHUNK`` lines at a time; from the
+    first chunk ``_plain_records`` declines on, ``csv.reader`` reads it."""
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         # One memo per read: each distinct token is checked and parsed once,
         # and every record holding it shares one object.
         texts, numbers = _Memo(_text), _Memo(_integer)
+        consumed = 0  # lines read before ``reader``'s first
         try:
             if tuple(next(reader, ())) == COLUMNS:
-                return [_record(row, texts, numbers) for row in reader]
+                consumed, records = reader.line_num, []
+                while (lines := list(islice(fh, READ_CHUNK))) and (
+                        chunk := _plain_records(lines, texts, numbers)) is not None:
+                    records += chunk
+                    consumed += len(lines)
+                reader = csv.reader(chain(lines, fh))
+                records += [_record(row, texts, numbers) for row in reader]
+                return records
         except (ValueError, csv.Error) as exc:
             # Decoding cannot fail a chunk ahead: line_num is the failing row's.
-            raise ConfigError(
-                f"malformed transaction row {reader.line_num}: {exc}") from None
+            raise ConfigError(f"malformed transaction row "
+                              f"{consumed + reader.line_num}: {exc}") from None
     raise ConfigError(f"unexpected transaction header in {path}")

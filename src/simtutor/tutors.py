@@ -160,10 +160,6 @@ class TutorSession:
         self._cursor = i
         return steps[i] if i < len(steps) else None
 
-    @property
-    def judged_correct(self) -> bool:
-        return self.next_step() is None and not self._dead
-
     @staticmethod
     def _matches(step: CanonicalStep, action: str, token) -> bool:
         _role, step_action, expected = step

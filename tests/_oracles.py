@@ -9,7 +9,9 @@ through compiled procedures and cross-multiplied integers.
 search as it ran before it scanned each depth first, building every level in
 full through ``induction._compose_level``.  ``csv_write_transactions`` is the
 byte reference for ``experiment.write_transactions``: ``csv.writer`` over
-each record's ``as_row()``.
+each record's ``as_row()``.  ``csv_read_transactions`` is the reference for
+``experiment.read_transactions``: ``csv.reader`` and ``_record`` over every
+row, with no column-wise decoding.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import csv
 import itertools
 from fractions import Fraction
 
-from simtutor.experiment import COLUMNS
+from simtutor.experiment import COLUMNS, _integer, _Memo, _record, _text
 from simtutor.induction import (
     Lit,
     Ref,
@@ -25,7 +27,7 @@ from simtutor.induction import (
     _tree,
     divide,
 )
-from simtutor.state import INPUT_VALUE
+from simtutor.state import INPUT_VALUE, ConfigError
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -115,6 +117,20 @@ def csv_write_transactions(path, records):
         writer.writerow(COLUMNS)
         for rec in records:
             writer.writerow(rec.as_row())
+
+
+def csv_read_transactions(path):
+    """The transaction log as ``csv.reader`` and ``_record`` parse it, row by row."""
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        texts, numbers = _Memo(_text), _Memo(_integer)
+        try:
+            if tuple(next(reader, ())) == COLUMNS:
+                return [_record(row, texts, numbers) for row in reader]
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(
+                f"malformed transaction row {reader.line_num}: {exc}") from None
+    raise ConfigError(f"unexpected transaction header in {path}")
 
 
 def reference_problem_outcomes(records, phase):

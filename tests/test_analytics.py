@@ -124,6 +124,16 @@ def test_problem_outcomes_match_the_reference(rows):
         assert problem_outcomes(rows, phase) == reference_problem_outcomes(rows, phase)
 
 
+def test_non_contiguous_problem_rows_collapse_to_the_first():
+    # p0's rows resume after p1's: p0 keeps position 1 and its first row.
+    rows = [record("a0", "p0", False), record("a0", "p0", False),
+            record("a0", "p1", True, ptype="multiply"),
+            record("a0", "p0", True, opportunity=5)]
+    assert [(p.problem_type, p.position, p.correct, p.opportunity)
+            for p in problem_outcomes(rows)] == \
+        [("add_same", 1, False, 0), ("multiply", 2, True, 0)]
+
+
 # -- regression engine -----------------------------------------------------------
 
 def _synthetic(n, beta, seed=0):

@@ -31,6 +31,7 @@ def test_run_writes_the_expected_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["config"]["agents"] == 4
+    assert set(manifest["phase_seconds"]) == {"simulate", "write", "fit"}
     records = read_transactions(out / "transactions.csv")
     assert records
 

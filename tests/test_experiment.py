@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import gc
+import io
 import json
 import pickle
 import random
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simtutor import experiment
+from simtutor.analytics import problem_outcomes
 from simtutor.experiment import (
     COLUMNS,
     TrialRecord,
@@ -29,7 +32,7 @@ from simtutor.experiment import (
 )
 from simtutor.state import ConfigError, ProtocolError
 
-from _oracles import csv_write_transactions
+from _oracles import csv_read_transactions, csv_write_transactions
 
 
 # -- sequencing ---------------------------------------------------------------
@@ -419,3 +422,119 @@ def test_problem_correct_other_than_0_or_1_is_rejected(log_path, record, token):
     with pytest.raises(ConfigError, match="malformed transaction row") as err:
         read_transactions(log_path)
     assert repr(token) in str(err.value)
+
+
+_READ = experiment.READ_CHUNK
+# Rows csv reads but the column-wise decoder declines -> their line ends.
+_QUIRKS = {"quoted": "\r\n", "lf": "\n", "cr": "\r"}
+
+
+def _plant(rows, defect, i):
+    """Make ``rows[i]`` (a list of (fields, line end) pairs) malformed."""
+    fields, end = rows[i]
+    fields = list(fields)
+    if defect == "empty":
+        rows.insert(i, ((), "\r\n"))
+        return
+    if defect == "columns":
+        # The line break moves one field right: 11 fields, then 9.
+        if i + 1 < len(rows):
+            after, after_end = rows[i + 1]
+            rows[i + 1] = (after[1:], after_end)
+            fields.append(after[0])
+        else:
+            fields.append("")
+    elif defect == "outcome":
+        fields[8] = "WRONG"
+    elif defect == "integer":
+        fields[6] = "0" + fields[6]
+    elif defect == "byte":
+        fields[7] += "\udcff"  # written as the byte 0xff
+    else:
+        fields[7] = "x" * (csv.field_size_limit() + 1)
+    rows[i] = (fields, end)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain=st.lists(_records(_plain_texts), min_size=1, max_size=4),
+       quirks=st.lists(st.tuples(st.integers(0, 4 * _READ),
+                                 st.sampled_from(sorted(_QUIRKS)),
+                                 _records(_quoted_texts)), max_size=3),
+       defect=st.none() | st.tuples(
+           st.sampled_from(("empty", "columns", "outcome", "integer", "byte",
+                            "long")), st.integers(0, 4 * _READ)),
+       tail=st.integers(1, _READ - 1))
+@example(plain=[_QUOTED._replace(agent_id="a", step_id="s")], quirks=[],
+         defect=("columns", _READ + 5), tail=1)
+@example(plain=[_QUOTED._replace(agent_id="a", step_id="s")],
+         quirks=[(2 * _READ, "cr", _QUOTED)], defect=None, tail=1)
+def test_reader_matches_csv_reader(log_path, plain, quirks, defect, tail):
+    # Several chunks and a short tail; a quirk sends its chunk and the rest
+    # of the file to csv.reader.
+    n = 3 * _READ + tail
+    rows = [(r.as_row(), "\r\n") for r in (plain * n)[:n]]
+    for position, quirk, record in quirks:
+        fields = record.as_row() if quirk == "quoted" else rows[position % n][0]
+        rows[position % n] = (fields, _QUIRKS[quirk])
+    if defect is not None:
+        _plant(rows, defect[0], defect[1] % n)
+    text = io.StringIO()
+    csv.writer(text).writerow(COLUMNS)
+    for fields, end in rows:
+        csv.writer(text, lineterminator=end).writerow(fields)
+    log_path.write_bytes(text.getvalue().encode("utf-8", "surrogateescape"))
+    if defect is not None:
+        with pytest.raises(ConfigError) as expected:
+            csv_read_transactions(log_path)
+        with pytest.raises(ConfigError) as err:
+            read_transactions(log_path)
+        assert str(err.value) == str(expected.value)
+        return
+    records = read_transactions(log_path)
+    assert records == csv_read_transactions(log_path)
+    assert all(type(r) is TrialRecord for r in records)
+    for column in _TEXT_COLUMNS:
+        values = [getattr(r, column) for r in records]
+        assert len({id(v) for v in values}) == len(set(values)), column
+
+
+@pytest.mark.parametrize("header", [b"a,b,c\r\n", b"",
+                                   ",".join(COLUMNS).encode() + b"\xff\r\n"])
+def test_a_wrong_header_is_named_as_such(tmp_path, header):
+    path = tmp_path / "transactions.csv"
+    path.write_bytes(header + b"a0,0,blocked,tutor,p,t,0,s,CORRECT,1\r\n")
+    with pytest.raises(ConfigError) as err:
+        read_transactions(path)
+    assert str(err.value) == f"unexpected transaction header in {path}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_building_records_restores_the_collector(tmp_path, small_fraction_log,
+                                                 enabled):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_transactions(good, small_fraction_log)
+    bad.write_text(good.read_text().replace("CORRECT", "RIGHT", 1))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert read_transactions(good) == small_fraction_log
+        assert gc.isenabled() is enabled
+        with pytest.raises(ConfigError, match="unknown outcome 'RIGHT'"):
+            read_transactions(bad)
+        assert gc.isenabled() is enabled
+        assert problem_outcomes(small_fraction_log)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_cells_run_with_the_collector_on(monkeypatch):
+    run_agent, seen = experiment.run_agent, []
+
+    def checked(*args):
+        seen.append(gc.isenabled())
+        return run_agent(*args)
+
+    monkeypatch.setattr(experiment, "run_agent", checked)
+    run_study(box_arrows_config(n_agents=2, replications=1, seed=3))
+    assert seen == [True, True]
+    assert gc.isenabled()

@@ -321,20 +321,20 @@ def test_posttest_records_silently_and_judges_at_the_end():
     assert session.submit(SAI("answer_num", "input_value", "999")) == ERROR
     with pytest.raises(ProtocolError):
         session.submit(SAI("answer_num", "input_value", "999"))
-    assert session.judged_correct is False
+    assert session.next_step() is not None
 
 
 def test_posttest_premature_done_fails_the_problem():
     session = TutorSession(_script("add_same"), "posttest")
     session.submit(SAI("done", "press_done"))
-    assert session.judged_correct is False
+    assert session.next_step() is not None
 
 
 def test_posttest_all_steps_correct_is_judged_correct():
     session = TutorSession(_script("add_same"), "posttest")
     for step in session.script.canonical_steps:
         session.submit(SAI(step.role, step.action, step.expected))
-    assert session.judged_correct is True
+    assert session.next_step() is None
 
 
 def test_conversion_fields_visible_in_every_session():
@@ -485,8 +485,8 @@ class SessionMachine(RuleBasedStateMachine):
             assert self.session.value(role) == value
 
     @invariant()
-    def judged_correct_iff_all_locked_without_error(self):
-        assert self.session.judged_correct == \
+    def next_step_is_none_iff_all_locked_without_error(self):
+        assert (self.session.next_step() is None) == \
             (not self._unlocked() and not self.failed)
 
 
