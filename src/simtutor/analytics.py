@@ -13,12 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .experiment import collector_paused, filter_hard
+from .experiment import CONDITIONS, collector_paused, filter_hard
 from .state import ConfigError
 
 TYPE_REFERENCE = "add_diff"
-CONDITION_REFERENCES = ("blocked", "constrained")
+CONDITION_REFERENCES = tuple(pair[0] for pair in CONDITIONS.values())
 SEPARATION_BOUND = 15.0
+MAX_ITER, TOL = 100, 1e-8
 
 
 class SeparationError(RuntimeError):
@@ -109,11 +110,11 @@ def _interval(p_hat: float, n: int):
         min(1.0, p_hat + 1.959963984540054 * se)
 
 
-def learning_curve(records, phase: str = "tutor"):
-    """Mean problem-level error per (condition, position), with 95% CIs."""
-    problems = problem_outcomes(records, phase)
+def learning_curve(records):
+    """Mean problem-level training error per (condition, position), with 95% CIs."""
+    problems = problem_outcomes(records, "tutor")
     if not problems:
-        raise ConfigError(f"no {phase!r} rows in the log")
+        raise ConfigError("no 'tutor' rows in the log")
     buckets: dict = {}
     for p in problems:
         buckets.setdefault((p.condition, p.position), []).append(0 if p.correct else 1)
@@ -148,7 +149,7 @@ def score(X, y, beta):
     return X.T @ (y - mu)
 
 
-def fit_logit(X, y, names, max_iter: int = 100, tol: float = 1e-8):
+def fit_logit(X, y, names):
     """IRLS maximum-likelihood fit; returns a RegressionSummary."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -160,7 +161,7 @@ def fit_logit(X, y, names, max_iter: int = 100, tol: float = 1e-8):
     history = [ll]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
         w = np.clip(mu * (1.0 - mu), 1e-12, None)
         H = (X * w[:, None]).T @ X
@@ -182,7 +183,7 @@ def fit_logit(X, y, names, max_iter: int = 100, tol: float = 1e-8):
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             worst = names[int(np.argmax(np.abs(beta)))]
             raise SeparationError(f"separation detected on term {worst!r}")
-        if np.max(np.abs(applied)) < tol:
+        if np.max(np.abs(applied)) < TOL:
             converged = True
             break
     mu = 1.0 / (1.0 + np.exp(-(X @ beta)))

@@ -18,11 +18,10 @@ from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .agent import Agent, run_problem
-from .state import SIMULATION_ERRORS, ConfigError
+from .state import CORRECT, ERROR, HINT, SIMULATION_ERRORS, ConfigError
 from .tutors import (
     _BOX_OPS,
     _SLOTS,
-    ProblemScript,
     TutorSession,
     gen_box_problem,
     gen_fraction_problem,
@@ -44,7 +43,7 @@ _LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d\r\n"
 # Rows formatted, or lines decoded (ten strings each), at once: enough to
 # amortize the checks, few enough for flat RSS.
 WRITE_CHUNK, READ_CHUNK = 1024, 256
-_OUTCOMES = frozenset(("CORRECT", "ERROR", "HINT"))
+_OUTCOMES = frozenset((CORRECT, ERROR, HINT))
 
 
 class TrialRecord(NamedTuple):
@@ -265,17 +264,14 @@ def _generate_sets(config: ExperimentConfig, replication: int, agent_index: int)
 
 def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
               problems=None):
-    """Simulate one agent; returns one plain tuple per step, in ``COLUMNS``
-    order, which ``run_study`` makes a ``TrialRecord`` once out of the pool."""
+    """Simulate one agent over ``problems``, its (pretrain, training, posttest)
+    script lists, generated when None; returns one plain tuple per step, in
+    ``COLUMNS`` order, which ``run_study`` makes a ``TrialRecord`` out of the pool."""
     condition = agent_condition(config, agent_index)
     agent_id = f"a{agent_index:03d}"
-
-    if problems is not None:
-        pretrain = [ProblemScript.from_record(line) for line in problems["pretrain"]]
-        training = [ProblemScript.from_record(line) for line in problems["training"]]
-        posttest = [ProblemScript.from_record(line) for line in problems["posttest"]]
-    else:
-        pretrain, training, posttest = _generate_sets(config, replication, agent_index)
+    if problems is None:
+        problems = _generate_sets(config, replication, agent_index)
+    pretrain, training, posttest = problems
 
     agent = Agent()
     opportunities: dict = {}
@@ -313,8 +309,8 @@ def _worker(args):
 def run_study(config: ExperimentConfig, problem_sets=None):
     """Run every (replication, agent) cell; returns the full transaction log.
 
-    ``problem_sets`` optionally replays persisted per-agent problem sequences
-    (see ``dump_problem_sets``) instead of generating fresh ones.
+    ``problem_sets`` optionally maps each (replication, agent) to the script
+    lists that cell runs instead of its own, as ``dump_problem_sets`` gives them.
     """
     config.validate()
     tasks = [(config, rep, idx,
@@ -337,18 +333,13 @@ def run_study(config: ExperimentConfig, problem_sets=None):
 
 
 def dump_problem_sets(config: ExperimentConfig):
-    """Regenerate every agent's problem sequences as serializable records."""
+    """Every cell's (pretrain, training, posttest) ``ProblemScript`` lists by
+    (replication, agent), as ``run_study`` generates them; to persist them, write
+    each script with ``to_record`` and read it with ``ProblemScript.from_record``."""
     config.validate()
-    sets = {}
-    for rep in range(config.replications):
-        for idx in range(config.n_agents):
-            pretrain, training, posttest = _generate_sets(config, rep, idx)
-            sets[(rep, idx)] = {
-                "pretrain": [p.to_record() for p in pretrain],
-                "training": [p.to_record() for p in training],
-                "posttest": [p.to_record() for p in posttest],
-            }
-    return sets
+    return {(rep, idx): _generate_sets(config, rep, idx)
+            for rep in range(config.replications)
+            for idx in range(config.n_agents)}
 
 
 def filter_hard(records):

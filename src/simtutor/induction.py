@@ -194,8 +194,7 @@ def _tree(key, leaves):
     return Call(op, left, right), f"({op} {ltext} {rtext})"
 
 
-def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
-            allow_constant: bool = True):
+def explain(wm: WorkingMemory, demo: SAI, allow_constant: bool = True):
     """All minimal-depth explanations of a demonstrated value.
 
     Search runs by iterative deepening over operator compositions of the
@@ -204,7 +203,7 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
     most once.  Each depth is scanned for the target before it is built, and
     it is built only when the search must go one depth deeper.  The constant
     explanation is returned only when no field-based explanation exists
-    within the depth bound.  No two explanations render alike: roles are
+    within ``MAX_DEPTH``.  No two explanations render alike: roles are
     unique, and a commutative pair is keyed in one operand order only.
     """
     if demo.action != INPUT_VALUE:
@@ -216,14 +215,14 @@ def explain(wm: WorkingMemory, demo: SAI, max_depth: int = MAX_DEPTH,
 
     leaves = wm.numeric_leaves()
     levels = [[((0, i), 1 << i, val) for i, (_role, val) in enumerate(leaves)]]
-    for d in range(max_depth + 1):
+    for d in range(MAX_DEPTH + 1):
         if d == 0:
             keys = [key for key, _used, val in levels[0] if val == target]
         else:
             keys = _matching_keys(levels, d, target)
         if keys:
             return [_tree(key, leaves)[0] for key in keys]
-        if 0 < d < max_depth:
+        if 0 < d < MAX_DEPTH:
             levels.append(_compose_level(levels, d))
     if allow_constant:
         return [Lit(target)]

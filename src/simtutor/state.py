@@ -114,55 +114,47 @@ class WorkingMemory:
     __slots__ = ("fields", "family", "predicates", "values", "open_roles")
 
     def __init__(self, entries, family=None):
-        fields = {}
-        preds = set()
-        values = {}
-        open_roles = set()
+        states = {}
         for role, state in entries:
             if role != state.role:
                 raise MalformedTutorError(
                     f"field {role!r} carries the role {state.role!r}")
-            if role in fields:
+            if role in states:
                 raise MalformedTutorError(f"duplicate role {role!r}")
-            fields[role] = state
-            preds.add(_fill_literal(role, state))
-            if type(state.value) is int:
-                values[role] = state.value
-            elif state.value is None and state.editable:
-                open_roles.add(role)
-        if not fields:
+            states[role] = state
+        if not states:
             raise MalformedTutorError("empty tutor snapshot")
-        if family is not None:
-            preds |= family.derive(fields)
-        self.fields = fields
-        self.family = family
-        self.predicates = frozenset(preds)
-        self.values = values
-        self.open_roles = frozenset(open_roles)
+        snapshot = tuple(states.values())
+        self._build(snapshot, tuple(zip(*snapshot)), family)
 
     @classmethod
     def from_snapshot(cls, snapshot, family):
         """Working memory of a snapshot of (role, value, editable) triples.  One
-        in layout order, as a ``TutorSession`` gives, builds only its filled fields
-        and values over a cached shape; any other goes through the constructor."""
+        in layout order, as a ``TutorSession`` gives, is built from its columns;
+        any other goes through the checks of the constructor."""
         columns = tuple(zip(*snapshot))  # roles, values, editable flags
         if not columns or columns[0] != family.layout:
             for role, _value, _editable in snapshot:
                 if role not in family.layout:
                     raise MalformedTutorError(f"role {role!r} not in the tutor's layout")
             return cls([(r, FieldState(r, v, e)) for r, v, e in snapshot], family)
+        return cls.__new__(cls)._build(snapshot, columns, family)
+
+    def _build(self, snapshot, columns, family):
+        """Set every attribute from checked (role, value, editable) triples and
+        their columns over the cached shape; returns ``self``."""
         roles, values, editable = columns
         literals, open_roles, blank, filled, numeric = _shape(
             roles, tuple(map(type, values)), editable)
-        wm = cls.__new__(cls)
-        wm.fields = fields = blank.copy()
+        self.fields = fields = blank.copy()
         for i in filled:  # a snapshot triple holds a FieldState's fields in order
             fields[roles[i]] = tuple.__new__(FieldState, snapshot[i])
-        wm.family = family
-        wm.predicates = literals.union(family.derive(fields))
-        wm.values = {roles[i]: values[i] for i in numeric}
-        wm.open_roles = open_roles
-        return wm
+        self.family = family
+        self.predicates = (literals if family is None
+                           else literals.union(family.derive(fields)))
+        self.values = {roles[i]: values[i] for i in numeric}
+        self.open_roles = open_roles
+        return self
 
     def with_value(self, role, value) -> WorkingMemory:
         """Working memory after field ``role`` takes ``value``; ``self`` is unchanged.

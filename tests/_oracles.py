@@ -11,7 +11,8 @@ full through ``induction._compose_level``.  ``csv_write_transactions`` is the
 byte reference for ``experiment.write_transactions``: ``csv.writer`` over
 each record's ``as_row()``.  ``csv_read_transactions`` is the reference for
 ``experiment.read_transactions``: ``csv.reader`` and ``_record`` over every
-row, with no column-wise decoding.
+row, with no column-wise decoding.  ``reference_memory`` is working memory
+as its definition states it, built field by field with no shape cache.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from simtutor.induction import (
     _tree,
     divide,
 )
-from simtutor.state import INPUT_VALUE, ConfigError
+from simtutor.state import INPUT_VALUE, ConfigError, WorkingMemory
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -214,3 +215,23 @@ def materialized_explain(wm, demo, max_depth=2, allow_constant=True):
     if allow_constant:
         return [Lit(target)]
     return []
+
+
+def reference_memory(entries, family=None):
+    """Working memory of checked (role, ``FieldState``) entries, one field at a
+    time: each field's filled/empty literal, its value when it is an ``int``,
+    its role when it is empty and editable, then what the family derives."""
+    fields, preds, values, open_roles = {}, set(), {}, set()
+    for role, state in entries:
+        fields[role] = state
+        preds.add(("filled" if state.value is not None else "empty", role))
+        if type(state.value) is int:
+            values[role] = state.value
+        elif state.value is None and state.editable:
+            open_roles.add(role)
+    if family is not None:
+        preds |= family.derive(fields)
+    wm = WorkingMemory.__new__(WorkingMemory)
+    wm.fields, wm.family, wm.values = fields, family, values
+    wm.predicates, wm.open_roles = frozenset(preds), frozenset(open_roles)
+    return wm

@@ -94,8 +94,8 @@ def test_curve_counts_every_agent_at_every_position():
 
 
 def test_curve_requires_rows_for_the_phase():
-    with pytest.raises(ConfigError):
-        learning_curve([record("a0", "p0", True)], phase="posttest")
+    with pytest.raises(ConfigError, match="no 'tutor' rows"):
+        learning_curve([record("a0", "p0", True, phase="posttest")])
 
 
 def test_curve_csv_rows_have_the_documented_header():

@@ -31,6 +31,7 @@ from simtutor.experiment import (
     write_transactions,
 )
 from simtutor.state import ConfigError, ProtocolError
+from simtutor.tutors import ProblemScript
 
 from _oracles import csv_read_transactions, csv_write_transactions
 
@@ -182,18 +183,28 @@ def test_tiny_logs_match_their_golden_digests():
         "54ee3893204f2797e85e6849c1d9fde0322147352b0aa1d474740092adc83e61"
 
 
-def test_replaying_dumped_problem_sets_reproduces_the_log():
-    cfg = fractions_config(n_agents=3, replications=1, seed=9)
-    direct = run_study(cfg)
-    replayed = run_study(cfg, problem_sets=dump_problem_sets(cfg))
-    assert direct == replayed
+@settings(max_examples=10, deadline=None)
+@given(study=st.sampled_from((fractions_config, box_arrows_config)),
+       seed=st.integers(0, 2**31 - 1))
+@example(study=fractions_config, seed=9)
+def test_replaying_dumped_problem_sets_reproduces_the_log(study, seed):
+    cfg = study(n_agents=2, replications=1, seed=seed)
+    sets = dump_problem_sets(cfg)
+    assert sets == {(0, i): experiment._generate_sets(cfg, 0, i) for i in range(2)}
+    assert run_study(cfg, problem_sets=sets) == run_study(cfg)
+
+
+_PHASES = ("pretrain", "training", "posttest")
 
 
 def save_problem_sets(path, sets):
-    """Persist problem sets as JSON lines keyed by (replication, agent)."""
+    """Persist problem sets as JSON lines keyed by (replication, agent), each
+    script written with ``to_record``."""
     with open(path, "w") as fh:
         for (rep, idx), groups in sorted(sets.items()):
-            fh.write(json.dumps({"replication": rep, "agent": idx, **groups},
+            scripts = {phase: [s.to_record() for s in group]
+                       for phase, group in zip(_PHASES, groups)}
+            fh.write(json.dumps({"replication": rep, "agent": idx, **scripts},
                                 sort_keys=True) + "\n")
 
 
@@ -202,11 +213,8 @@ def load_problem_sets(path):
     with open(path) as fh:
         for line in fh:
             raw = json.loads(line)
-            sets[(raw["replication"], raw["agent"])] = {
-                "pretrain": raw["pretrain"],
-                "training": raw["training"],
-                "posttest": raw["posttest"],
-            }
+            sets[(raw["replication"], raw["agent"])] = tuple(
+                [ProblemScript.from_record(s) for s in raw[phase]] for phase in _PHASES)
     return sets
 
 

@@ -1,10 +1,11 @@
 """Incremental working memory and compiled procedures against their references.
 
 ``run_problem`` perceives once per problem, through a per-shape cache of fill
-literals and open roles, and derives every later state with
-``WorkingMemory.with_value``; skills match through compiled closures instead
-of ``evaluate``.  These properties check each shortcut against the slow,
-obviously-correct path it replaces.
+literals and open roles that the constructor shares, and derives every later
+state with ``WorkingMemory.with_value``; skills match through compiled
+closures instead of ``evaluate``.  These properties check each shortcut
+against the slow, obviously-correct path it replaces: ``reference_memory``
+builds working memory field by field, with no shape cache.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from simtutor.tutors import (
     gen_fraction_problem,
 )
 
-from _oracles import evaluate
+from _oracles import evaluate, reference_memory
 
 
 def assert_same_memory(derived, fresh):
@@ -77,10 +78,13 @@ def _wrong(step):
     return SAI(step.role, INPUT_VALUE, "0")
 
 
-def reference_memory(session):
-    """Working memory of ``session`` through the checked constructor."""
-    return WorkingMemory([(r, FieldState(r, v, e)) for r, v, e in session.snapshot()],
-                         session.family)
+def _entries(snapshot):
+    return [(r, FieldState(r, v, e)) for r, v, e in snapshot]
+
+
+def session_reference(session):
+    """Working memory of ``session`` built field by field."""
+    return reference_memory(_entries(session.snapshot()), session.family)
 
 
 def _act(session, script, mode, action, pick):
@@ -112,28 +116,28 @@ def test_derived_memory_equals_fresh_perception(script, mode, actions):
     for action, pick in actions:
         if (mode == "posttest" and outcome == ERROR) or session.next_step() is None:
             break
-        before = reference_memory(session)
+        before = session_reference(session)
         changed, outcome = _act(session, script, mode, action, pick)
         previous = wm
         if changed is not None:
             wm = wm.with_value(changed, session.value(changed))
-        assert_same_memory(wm, reference_memory(session))
+        assert_same_memory(wm, session_reference(session))
         assert_same_memory(previous, before)  # copy on write
 
 
-# -- perception through the shape cache against the checked constructor -----
+# -- perception and the constructor against the field-by-field reference ----
 
 @settings(max_examples=300, deadline=None)
 @given(script=scripts(), mode=_MODES, actions=_ACTIONS)
 def test_perception_equals_the_reference_constructor(script, mode, actions):
     session = TutorSession(script, mode)
-    assert_same_memory(perceive(session), reference_memory(session))
+    assert_same_memory(perceive(session), session_reference(session))
     outcome = CORRECT
     for action, pick in actions:
         if (mode == "posttest" and outcome == ERROR) or session.next_step() is None:
             break
         _changed, outcome = _act(session, script, mode, action, pick)
-        assert_same_memory(perceive(session), reference_memory(session))
+        assert_same_memory(perceive(session), session_reference(session))
 
 
 class _Snapshot:
@@ -186,19 +190,42 @@ def memories_and_changes(draw):
     return family, editable, values, role, draw(_field_values(role))
 
 
-def _memory(family, editable, values):
-    return WorkingMemory([(r, FieldState(r, values[r], r in editable))
-                          for r in family.layout], family)
+def _layout_entries(family, editable, values):
+    return [(r, FieldState(r, values[r], r in editable)) for r in family.layout]
 
 
 @settings(max_examples=500, deadline=None)
 @given(memories_and_changes())
 def test_one_field_update_equals_rebuilding(case):
     family, editable, values, role, value = case
-    wm = _memory(family, editable, values)
+    entries = _layout_entries(family, editable, values)
+    wm, want = WorkingMemory(entries, family), reference_memory(entries, family)
+    assert_same_memory(wm, want)
     derived = wm.with_value(role, value)
-    assert_same_memory(derived, _memory(family, editable, {**values, role: value}))
-    assert_same_memory(wm, _memory(family, editable, values))
+    changed = _layout_entries(family, editable, {**values, role: value})
+    assert_same_memory(derived, reference_memory(changed, family))
+    assert_same_memory(wm, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(memories_and_changes(), st.data())
+def test_snapshots_in_any_order_equal_the_reference(case, data):
+    # In layout order a snapshot is built from its columns; reordered or
+    # partial, it goes through the constructor.  Both share one builder.
+    family, editable, values, _role, _value = case
+    snapshot = [(r, values[r], r in editable) for r in family.layout]
+    order = data.draw(st.sampled_from(("layout", "shuffled", "subset")))
+    if order == "shuffled":
+        snapshot = data.draw(st.permutations(snapshot))
+    elif order == "subset":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(snapshot),
+                                  max_size=len(snapshot)).filter(any))
+        snapshot = [triple for triple, k in zip(snapshot, keep) if k]
+    entries = _entries(snapshot)
+    want = reference_memory(entries, family)
+    assert_same_memory(perceive(_Snapshot(snapshot, family)), want)
+    assert_same_memory(WorkingMemory(entries, family), want)
+    assert_same_memory(WorkingMemory(entries), reference_memory(entries))
 
 
 # -- compiled procedures ------------------------------------------------------

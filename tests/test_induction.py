@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simtutor.induction import (
+    MAX_DEPTH,
     OPS,
     Call,
     Lit,
@@ -135,22 +136,19 @@ def test_search_matches_brute_force_on_drawn_states(values, target):
 
 @st.composite
 def search_cases(draw):
-    """(leaf values, target, max_depth, allow_constant) for the order property.
+    """(leaf values, target, allow_constant) for the order property.
 
     Half the targets with two or more leaves are the value of a drawn chain
-    ``((f op f) op f) op f`` over distinct leaves, as deep as ``max_depth``
-    and the leaves allow, so many are first reachable at depth 2 or 3.  Half
-    the chains of three or more leaves start with a quotient, often inexact,
-    that the next leaf, a multiple of the divisor, makes whole again.  Depth 3
-    keeps to four leaves, which the oracle still enumerates in milliseconds.
+    ``(f op f) op f`` over distinct leaves, as deep as ``MAX_DEPTH`` and the
+    leaves allow, so many are first reachable at depth 2.  Half the chains of
+    three leaves start with a quotient, often inexact, that the next leaf, a
+    multiple of the divisor, makes whole again.
     """
-    max_depth = draw(st.integers(1, 3))
-    values = draw(st.lists(st.integers(-6, 12), min_size=1,
-                           max_size=4 if max_depth == 3 else 5))
+    values = draw(st.lists(st.integers(-6, 12), min_size=1, max_size=5))
     target = draw(st.integers(-30, 60))
     if len(values) >= 2 and draw(st.booleans()):
         order = draw(st.permutations(range(len(values))))
-        size = min(len(values), max_depth + 1)
+        size = min(len(values), MAX_DEPTH + 1)
         roles = [f"f{i}" for i in order[:size]]
         tree = Ref(roles[0])
         if size >= 3 and values[order[1]] != 0 and draw(st.booleans()):
@@ -168,25 +166,25 @@ def search_cases(draw):
         value = evaluate(tree, {f"f{n}": Fraction(v) for n, v in enumerate(values)})
         if value is not None and value.denominator == 1:
             target = int(value)
-    return values, target, max_depth, draw(st.booleans())
+    return values, target, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=search_cases())
-@example(case=([3, 2, 10], 15, 2, True))     # (multiply (divide f0 f1) f2)
-@example(case=([0, 0, 5, -5], 0, 2, False))  # zero and repeated leaves
-@example(case=([2, 7], 99, 1, True))         # the constant
-@example(case=([2, 7], 99, 3, False))        # nothing
-@example(case=([2, 3, 5, 7], 77, 3, True))   # depth 3 only
+@example(case=([3, 2, 10], 15, True))     # (multiply (divide f0 f1) f2)
+@example(case=([0, 0, 5, -5], 0, False))  # zero and repeated leaves
+@example(case=([2, 7], 99, True))         # the constant
+@example(case=([2, 7], 99, False))        # nothing
+@example(case=([2, 3, 5, 7], 77, True))   # depth 3 only: the constant
 def test_explain_keeps_the_materialized_order(case):
     # The brute-force property compares sets; this one pins the order too,
     # which decides the first explanation and so the skill that is learned.
-    values, target, max_depth, allow_constant = case
+    values, target, allow_constant = case
     wm = WorkingMemory([(f"f{i}", FieldState(role=f"f{i}", value=v))
                         for i, v in enumerate(values)])
     demo = SAI("t", "input_value", str(target))
-    assert (explain(wm, demo, max_depth, allow_constant)
-            == materialized_explain(wm, demo, max_depth, allow_constant))
+    assert (explain(wm, demo, allow_constant)
+            == materialized_explain(wm, demo, MAX_DEPTH, allow_constant))
 
 
 def test_explanations_order_commutative_operands_by_rendering():
