@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -99,8 +101,26 @@ def problem_outcomes(records, phase: str = "tutor"):
         seen.add(key)
         agent_key = (replication, agent_id)
         position = positions[agent_key] = positions.get(agent_key, 0) + 1
-        out.append(ProblemOutcome(replication, agent_id, condition, problem_type,
-                                  opportunity, position, correct))
+        out.append(tuple.__new__(ProblemOutcome, (
+            replication, agent_id, condition, problem_type, opportunity,
+            position, correct)))
+    return out
+
+
+def first_rows(records):
+    """The first row of each (replication, agent, problem, phase, type), in log
+    order.  ``problem_outcomes``, ``filter_hard`` and the set of problem types
+    give the same results on these rows as on all of ``records``."""
+    key = itemgetter(1, 0, 4, 3, 5)
+    starts = list(map(next, map(itemgetter(1), groupby(records, key))))
+    if len(set(map(itemgetter(4), starts))) == len(starts):
+        return starts  # no problem id starts two runs, so no key does
+    seen, out = set(), []
+    for row in starts:
+        k = key(row)
+        if k not in seen:
+            seen.add(k)
+            out.append(row)
     return out
 
 

@@ -20,6 +20,7 @@ from .analytics import (
     SeparationError,
     accuracy_by_condition,
     curve_rows,
+    first_rows,
     fit_logistic,
     hard_problem_effect,
     learning_curve,
@@ -27,6 +28,7 @@ from .analytics import (
 )
 from .experiment import (
     box_arrows_config,
+    collector_paused,
     filter_hard,
     fractions_config,
     read_transactions,
@@ -194,22 +196,25 @@ def _cmd_run(args):
     return 0
 
 
+@collector_paused()
 def _cmd_report(args):
     records = read_transactions(args.log)
     if not records:
         raise ConfigError("empty transaction log")
-    is_box = any(r.problem_type.startswith("box_") for r in records)
+    # Every summary below reads problem outcomes, which first rows decide.
+    first = first_rows(records)
+    is_box = any(r.problem_type.startswith("box_") for r in first)
     print(f"log: {args.log} ({len(records)} rows)")
     if is_box:
         print("hard-problem accuracy by condition:")
-        for cond, acc in accuracy_by_condition(filter_hard(records)).items():
+        for cond, acc in accuracy_by_condition(filter_hard(first)).items():
             print(f"  {cond:15s} {acc:.3f}")
     else:
         for phase in ("tutor", "posttest"):
             print(f"{phase} accuracy by condition:")
-            for cond, acc in accuracy_by_condition(records, phase).items():
+            for cond, acc in accuracy_by_condition(first, phase).items():
                 print(f"  {cond:15s} {acc:.3f}")
-    for model, summary in _regressions(is_box, records).items():
+    for model, summary in _regressions(is_box, first).items():
         print(f"\n{model} regression:")
         if isinstance(summary, Exception):
             print(f"not estimable: {summary}")

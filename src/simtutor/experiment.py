@@ -15,6 +15,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
+from operator import add
 from typing import NamedTuple
 
 from .agent import Agent, run_problem
@@ -22,6 +23,7 @@ from .state import CORRECT, ERROR, HINT, SIMULATION_ERRORS, ConfigError
 from .tutors import (
     _BOX_OPS,
     _SLOTS,
+    ProblemScript,
     TutorSession,
     gen_box_problem,
     gen_fraction_problem,
@@ -44,6 +46,7 @@ _LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d\r\n"
 # amortize the checks, few enough for flat RSS.
 WRITE_CHUNK, READ_CHUNK = 1024, 256
 _OUTCOMES = frozenset((CORRECT, ERROR, HINT))
+_FLAGS = frozenset(("0\r\n", "1\r\n"))  # problem_correct and its line end
 
 
 class TrialRecord(NamedTuple):
@@ -125,20 +128,32 @@ def _record(row, texts, numbers):
 
 def _plain_records(lines, texts, numbers):
     """The records of ``lines`` split on commas, as ``csv.reader`` splits ten
-    unquoted NUL-free fields ending in CRLF; None for other lines or a bad token."""
-    text, n = "".join(lines), len(lines)
-    if ('"' in text or "\0" in text or text.count("\r") != n
-            or text.count("\n") != n or max(map(len, lines)) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {9}):
+    unquoted NUL-free fields ending in CRLF; None for other lines or a bad token.
+
+    Each line is split at its last three commas.  A problem's rows share the
+    seven fields before them, so each distinct prefix is parsed once a chunk."""
+    text = "".join(lines)
+    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
         return None
-    fields = text[:-2].replace("\r\n", ",").split(",")
-    columns = [fields[j::10] for j in range(10)]
-    if not (_OUTCOMES.issuperset(columns[8]) and {"0", "1"}.issuperset(columns[9])):
+    try:  # a line with fewer than three commas leaves fewer than four columns
+        prefixes, steps, outcomes, flags = zip(*map(str.rsplit, lines, repeat(","),
+                                                    repeat(3)))
+    except ValueError:
         return None
-    parse = [(numbers if j in (1, 6) else texts).__getitem__ for j in range(9)]
+    # A flag of "0\r\n" or "1\r\n" ends its line, so no other CR or LF is in it,
+    # and every line holds nine commas when every prefix holds six.
+    distinct = dict.fromkeys(prefixes)
+    if not (_OUTCOMES.issuperset(outcomes) and _FLAGS.issuperset(flags)
+            and set(map(str.count, distinct, repeat(","))) == {6}):
+        return None
+    fields = ",".join(distinct).split(",")
+    t, n = texts.__getitem__, numbers.__getitem__
     try:
-        return list(map(tuple.__new__, repeat(TrialRecord),
-                        zip(*map(map, parse + ["1".__eq__], columns))))
+        heads = dict(zip(distinct, zip(*map(map, (t, n, t, t, t, t, n),
+                                            [fields[j::7] for j in range(7)]))))
+        return list(map(tuple.__new__, repeat(TrialRecord), map(
+            add, map(heads.__getitem__, prefixes),
+            zip(map(t, steps), map(t, outcomes), map("1\r\n".__eq__, flags)))))
     except ValueError:
         return None
 
@@ -306,6 +321,23 @@ def _worker(args):
                         f"{exc}") from exc
 
 
+def _check_problem_sets(problem_sets, cells):
+    """Raise ``ConfigError`` naming the first of ``cells`` that ``problem_sets``
+    lacks or gives as anything but three lists of ``ProblemScript``s."""
+    for rep, idx in cells:
+        name = f"problem sets for replication {rep}, agent {idx}"
+        try:
+            sets = problem_sets[(rep, idx)]
+        except KeyError:
+            raise ConfigError(f"{name} are missing") from None
+        if not (isinstance(sets, (list, tuple)) and len(sets) == 3 and all(
+                isinstance(group, (list, tuple))
+                and all(isinstance(script, ProblemScript) for script in group)
+                for group in sets)):
+            raise ConfigError(f"{name} must be (pretrain, training, posttest) "
+                              "lists of ProblemScript")
+
+
 def run_study(config: ExperimentConfig, problem_sets=None):
     """Run every (replication, agent) cell; returns the full transaction log.
 
@@ -313,10 +345,13 @@ def run_study(config: ExperimentConfig, problem_sets=None):
     lists that cell runs instead of its own, as ``dump_problem_sets`` gives them.
     """
     config.validate()
+    cells = [(rep, idx) for rep in range(config.replications)
+             for idx in range(config.n_agents)]
+    if problem_sets is not None:
+        _check_problem_sets(problem_sets, cells)
     tasks = [(config, rep, idx,
               None if problem_sets is None else problem_sets[(rep, idx)])
-             for rep in range(config.replications)
-             for idx in range(config.n_agents)]
+             for rep, idx in cells]
     if config.jobs > 1:
         # At most one worker per chunk of 8 tasks: a spare one only forks.
         with multiprocessing.Pool(min(config.jobs, -(-len(tasks) // 8))) as pool:

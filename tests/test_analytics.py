@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simtutor.analytics import (
@@ -15,6 +15,7 @@ from simtutor.analytics import (
     accuracy_by_condition,
     build_design,
     curve_rows,
+    first_rows,
     fit_logistic,
     fit_logit,
     hard_problem_effect,
@@ -24,7 +25,7 @@ from simtutor.analytics import (
     problem_outcomes,
     score,
 )
-from simtutor.experiment import TrialRecord
+from simtutor.experiment import TrialRecord, filter_hard
 from simtutor.state import ConfigError
 
 from _oracles import reference_problem_outcomes
@@ -132,6 +133,59 @@ def test_non_contiguous_problem_rows_collapse_to_the_first():
     assert [(p.problem_type, p.position, p.correct, p.opportunity)
             for p in problem_outcomes(rows)] == \
         [("add_same", 1, False, 0), ("multiply", 2, True, 0)]
+
+
+def _drawn_row(rep, agent, problem, phase, ptype, correct, opportunity):
+    return record(agent, problem, correct, ptype=ptype, phase=phase,
+                  opportunity=opportunity, rep=rep)
+
+
+# Few values per field, so ids recur across agents, phases and types.
+_log_rows = st.lists(st.builds(
+    _drawn_row, st.integers(0, 1), st.sampled_from(("a0", "a1")),
+    st.sampled_from(("p0", "p1", "p2")), st.sampled_from(("tutor", "posttest")),
+    st.sampled_from(("add_same", "box_easy", "box_hard")), st.booleans(),
+    st.integers(0, 3)), max_size=30)
+
+
+def _problem_key(r):
+    return (r.replication, r.agent_id, r.problem_id, r.phase, r.problem_type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_log_rows, grouped=st.booleans())
+@example(rows=[  # non-contiguous p0; p1 under two agents; p2 in both phases,
+    # and with two types in its tutor rows
+    _drawn_row(0, "a0", "p0", "tutor", "box_hard", False, 0),
+    _drawn_row(0, "a0", "p1", "tutor", "box_easy", True, 0),
+    _drawn_row(0, "a0", "p0", "tutor", "box_hard", True, 3),
+    _drawn_row(0, "a1", "p1", "tutor", "box_easy", False, 1),
+    _drawn_row(0, "a1", "p2", "posttest", "add_same", True, 0),
+    _drawn_row(0, "a1", "p2", "tutor", "box_easy", False, 2),
+    _drawn_row(0, "a1", "p2", "tutor", "box_hard", True, 2),
+    _drawn_row(0, "a1", "p2", "tutor", "box_easy", True, 0)], grouped=False)
+@example(rows=[  # contiguous problems with distinct ids, as in a study log
+    _drawn_row(0, "a0", "p0", "tutor", "box_hard", False, 0),
+    _drawn_row(0, "a0", "p0", "tutor", "box_hard", False, 0),
+    _drawn_row(0, "a0", "p1", "posttest", "box_easy", True, 1),
+    _drawn_row(1, "a1", "p2", "tutor", "add_same", True, 0),
+    _drawn_row(1, "a1", "p2", "tutor", "add_same", True, 0)], grouped=False)
+def test_first_rows_give_every_summary_the_whole_log(rows, grouped):
+    if grouped:  # each problem's rows in one run
+        rows = sorted(rows, key=_problem_key)
+    first = first_rows(rows)
+    keys = [_problem_key(r) for r in first]
+    assert len(set(keys)) == len(keys) == len({_problem_key(r) for r in rows})
+    # The first row of each key, in log order, as the same objects.
+    firsts = {}
+    for r in rows:
+        firsts.setdefault(_problem_key(r), r)
+    assert [id(r) for r in first] == [id(r) for r in firsts.values()]
+    for phase in ("tutor", "posttest"):
+        assert problem_outcomes(first, phase) == problem_outcomes(rows, phase)
+        assert problem_outcomes(filter_hard(first), phase) == \
+            problem_outcomes(filter_hard(rows), phase)
+    assert {r.problem_type for r in first} == {r.problem_type for r in rows}
 
 
 # -- regression engine -----------------------------------------------------------

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior on scaled-down runs."""
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
+from simtutor import cli
 from simtutor.cli import main
 from simtutor.experiment import TrialRecord, read_transactions, write_transactions
 from simtutor.state import (
@@ -130,6 +132,31 @@ def test_report_rejects_a_truncated_log(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join([lines[0]] + [l.rsplit(",", 2)[0] for l in lines[1:5]]))
     assert main(["report", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_report_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
+                                                  enabled):
+    log = run_dir(tmp_path) / "transactions.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(log.read_bytes().replace(b"CORRECT", b"RIGHT", 1))
+    first_rows, seen = cli.first_rows, []
+
+    def checked(records):
+        seen.append(gc.isenabled())
+        return first_rows(records)
+
+    monkeypatch.setattr(cli, "first_rows", checked)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["report", str(log)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["report", str(bad)]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+    assert "unknown outcome 'RIGHT'" in capsys.readouterr().err
 
 
 def test_env_var_sets_the_default_output_root(tmp_path, monkeypatch):

@@ -227,6 +227,39 @@ def test_replaying_a_persisted_problem_file_reproduces_the_log(tmp_path):
     assert direct == replayed
 
 
+def _never_run(*args):
+    raise AssertionError("a cell ran before its problem sets were checked")
+
+
+def test_problem_sets_without_a_cell_are_rejected_up_front(monkeypatch):
+    cfg = fractions_config(n_agents=2, replications=2, seed=3)
+    sets = dump_problem_sets(cfg)
+    del sets[(1, 0)], sets[(1, 1)]
+    monkeypatch.setattr(experiment, "run_agent", _never_run)
+    with pytest.raises(ConfigError) as err:
+        run_study(cfg, problem_sets=sets)
+    assert str(err.value) == "problem sets for replication 1, agent 0 are missing"
+
+
+@pytest.mark.parametrize("reshape", [
+    # The former shape: a dict of JSON strings per phase.
+    lambda groups: {phase: [s.to_record() for s in group]
+                    for phase, group in zip(_PHASES, groups)},
+    lambda groups: tuple([s.to_record() for s in group] for group in groups),
+    lambda groups: groups[1:],
+    lambda groups: groups[1],
+])
+def test_malformed_problem_sets_are_rejected_up_front(monkeypatch, reshape):
+    cfg = box_arrows_config(n_agents=3, replications=1, seed=3)
+    sets = dump_problem_sets(cfg)
+    sets[(0, 1)] = reshape(sets[(0, 1)])
+    monkeypatch.setattr(experiment, "run_agent", _never_run)
+    with pytest.raises(ConfigError) as err:
+        run_study(cfg, problem_sets=sets)
+    assert str(err.value) == ("problem sets for replication 0, agent 1 must be "
+                              "(pretrain, training, posttest) lists of ProblemScript")
+
+
 def test_cells_hand_back_plain_rows():
     cfg = box_arrows_config(n_agents=2, replications=1, seed=3)
     rows = experiment.run_agent(cfg, 0, 1)
@@ -504,6 +537,43 @@ def test_reader_matches_csv_reader(log_path, plain, quirks, defect, tail):
     for column in _TEXT_COLUMNS:
         values = [getattr(r, column) for r in records]
         assert len({id(v) for v in values}) == len(set(values)), column
+
+
+def _problem_rows(problem, opportunity, n):
+    return [TrialRecord("a0", 0, "blocked", "tutor", problem, "add_same",
+                        opportunity, f"s{i}", "CORRECT", True) for i in range(n)]
+
+
+def test_a_problem_straddling_a_chunk_boundary_is_read_whole(tmp_path):
+    path = tmp_path / "transactions.csv"
+    log = (_problem_rows("p0", 0, _READ - 3) + _problem_rows("p1", 1, 7)
+           + _problem_rows("p2", 2, 5))
+    write_transactions(path, log)
+    records = read_transactions(path)
+    assert records == log == csv_read_transactions(path)
+    # p1's rows in both chunks hold the same objects.
+    heads = {tuple(map(id, r[:7])) for r in records if r.problem_id == "p1"}
+    assert len(heads) == 1
+
+
+@pytest.mark.parametrize("row", [8, _READ + 12])
+def test_a_bad_prefix_first_seen_mid_chunk_names_its_row(tmp_path, row):
+    # Problems of four rows each; the one at ``row`` gets a new problem id
+    # and an opportunity that ``as_row`` would not write, on its first row.
+    path = tmp_path / "transactions.csv"
+    log = [r for i in range(0, 2 * _READ, 4) for r in _problem_rows(f"p{i}", 0, 4)]
+    write_transactions(path, log)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1 + row] = lines[1 + row].replace(f",p{row},add_same,0,".encode(),
+                                            b",q,add_same,007,")
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ConfigError) as err:
+        read_transactions(path)
+    assert str(err.value) == (f"malformed transaction row {row + 2}: "
+                              "non-canonical integer '007'")
+    with pytest.raises(ConfigError) as expected:
+        csv_read_transactions(path)
+    assert str(err.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("header", [b"a,b,c\r\n", b"",
