@@ -3,11 +3,14 @@
 The regression engine is a from-scratch maximum-likelihood fit via
 iteratively reweighted least squares with step halving, Wald standard errors
 from the inverse observed information, and Wald z p-values.  Problem-level
-correctness is the unit of analysis throughout.
+correctness is the unit of analysis throughout; the log-level models fit it
+as binomial counts of the distinct design cells, which gives the same
+maximum-likelihood fit as one row per problem.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -74,11 +77,14 @@ class RegressionSummary:
 
     def table(self) -> str:
         width = max(len(n) for n in self.terms)
-        lines = [f"{'term'.ljust(width)}  OR [95% CI]            p"]
-        for name, est in self.terms.items():
-            ci = f"{est.odds_ratio:.2f} [{est.ci_low:.2f}, {est.ci_high:.2f}]"
+        cis = [f"{est.odds_ratio:.2f} [{est.ci_low:.2f}, {est.ci_high:.2f}]"
+               for est in self.terms.values()]
+        ci_width = max(22, max(map(len, cis)) + 1)  # a space before p, always
+        lines = [f"{'term'.ljust(width)}  {'OR [95% CI]'.ljust(ci_width + 1)}p"]
+        for (name, est), ci in zip(self.terms.items(), cis):
             star = "*" if est.p_value < 0.05 else " "
-            lines.append(f"{name.ljust(width)}  {ci.ljust(22)}{est.p_value:.4f}{star}")
+            lines.append(f"{name.ljust(width)}  {ci.ljust(ci_width)}"
+                         f"{est.p_value:.4f}{star}")
         lines.append(f"n = {self.n_observations}, logLik = {self.log_likelihood:.2f}, "
                      f"Tjur R2 = {self.tjur_r2:.3f}")
         return "\n".join(lines)
@@ -158,34 +164,67 @@ def curve_rows(points):
 # Logistic regression core
 # --------------------------------------------------------------------------
 
-def log_likelihood(X, y, beta):
+def log_likelihood(X, y, beta, weights=1.0):
+    """Log-likelihood, each row counted ``weights`` times (a count per row)."""
     eta = X @ beta
     # log(sigma(eta)) and log(1 - sigma(eta)) without overflow
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    return float(np.sum(weights * (y * eta - np.logaddexp(0.0, eta))))
 
 
-def score(X, y, beta):
+def score(X, y, beta, weights=1.0):
     mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    return X.T @ (y - mu)
+    return X.T @ (weights * (y - mu))
 
 
-def fit_logit(X, y, names):
-    """IRLS maximum-likelihood fit; returns a RegressionSummary."""
+def _information(X, beta, counts):
+    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    w = counts * np.clip(mu * (1.0 - mu), 1e-12, None)
+    return mu, (X * w[:, None]).T @ X
+
+
+def _diverged(beta, names):
+    """The first term in design order whose |coef| is within 0.1% of the
+    largest.  Terms that diverge together then get one name whatever the
+    rounding: near the bound the information matrix is ill conditioned, and
+    fits on cells and on problems differ by up to about 1e-5 relative."""
+    size = np.abs(beta)
+    return names[int(np.argmax(size >= size.max() * (1.0 - 1e-3)))]
+
+
+def _exp(x):
+    """``math.exp``, but infinite past the float range, as the upper bound of
+    a nearly separated term's interval can be."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def fit_logit(X, y, names, weights=None):
+    """IRLS maximum-likelihood fit; returns a RegressionSummary.
+
+    ``weights`` holds an integer count per row of ``X`` (binomial counts of
+    the distinct design rows); ``None`` counts each row once.  The fit equals
+    the one on the rows repeated by their counts, and ``n_observations`` is
+    the total count.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
+    counts = np.ones(n, dtype=int) if weights is None else np.asarray(weights)
+    if counts.shape != (n,) or counts.dtype.kind not in "iu" or np.any(counts < 1):
+        raise ValueError("weights must be one integer count of at least 1 per row")
+    counts = counts.astype(float)
     if np.linalg.matrix_rank(X) < p:
         raise DesignError("design matrix is rank deficient")
     beta = np.zeros(p)
-    ll = log_likelihood(X, y, beta)
+    ll = log_likelihood(X, y, beta, counts)
     history = [ll]
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-        w = np.clip(mu * (1.0 - mu), 1e-12, None)
-        H = (X * w[:, None]).T @ X
-        g = X.T @ (y - mu)
+        mu, H = _information(X, beta, counts)
+        g = X.T @ (counts * (y - mu))
         try:
             delta = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -193,7 +232,7 @@ def fit_logit(X, y, names):
         step = 1.0
         while True:
             candidate = beta + step * delta
-            cand_ll = log_likelihood(X, y, candidate)
+            cand_ll = log_likelihood(X, y, candidate, counts)
             if cand_ll >= ll - 1e-12 or step < 1e-8:
                 break
             step *= 0.5
@@ -201,14 +240,12 @@ def fit_logit(X, y, names):
         beta, ll = candidate, cand_ll
         history.append(ll)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            worst = names[int(np.argmax(np.abs(beta)))]
-            raise SeparationError(f"separation detected on term {worst!r}")
+            raise SeparationError(
+                f"separation detected on term {_diverged(beta, names)!r}")
         if np.max(np.abs(applied)) < TOL:
             converged = True
             break
-    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    w = np.clip(mu * (1.0 - mu), 1e-12, None)
-    H = (X * w[:, None]).T @ X
+    mu, H = _information(X, beta, counts)
     cov = np.linalg.inv(H)
     se = np.sqrt(np.diag(cov))
     terms = {}
@@ -217,16 +254,18 @@ def fit_logit(X, y, names):
         p_value = math.erfc(abs(z) / math.sqrt(2.0))
         terms[name] = TermEstimate(
             coef=float(beta[j]), se=float(se[j]),
-            odds_ratio=math.exp(beta[j]),
-            ci_low=math.exp(beta[j] - 1.959963984540054 * se[j]),
-            ci_high=math.exp(beta[j] + 1.959963984540054 * se[j]),
+            odds_ratio=_exp(beta[j]),
+            ci_low=_exp(beta[j] - 1.959963984540054 * se[j]),
+            ci_high=_exp(beta[j] + 1.959963984540054 * se[j]),
             p_value=p_value)
     y_bool = y > 0.5
-    tjur = float(mu[y_bool].mean() - mu[~y_bool].mean()) \
+    tjur = float(np.average(mu[y_bool], weights=counts[y_bool])
+                 - np.average(mu[~y_bool], weights=counts[~y_bool])) \
         if y_bool.any() and (~y_bool).any() else float("nan")
-    return RegressionSummary(terms=terms, log_likelihood=ll, n_observations=n,
-                             tjur_r2=tjur, converged=converged,
-                             n_iterations=iterations, ll_history=history)
+    return RegressionSummary(terms=terms, log_likelihood=ll,
+                             n_observations=int(counts.sum()), tjur_r2=tjur,
+                             converged=converged, n_iterations=iterations,
+                             ll_history=history)
 
 
 def _condition_reference(levels):
@@ -277,12 +316,22 @@ def build_design(problems, terms):
     return X, y, names
 
 
+# The fields of a ProblemOutcome that build_design reads.
+_CELL = itemgetter(2, 3, 4, 6)  # condition, problem_type, opportunity, correct
+
+
 def fit_logistic(records, phase: str = "tutor",
                  terms=("condition", "type", "count", "type:count")):
-    """Problem-level correctness on condition, type, count, and type x count."""
-    problems = problem_outcomes(records, phase)
-    X, y, names = build_design(problems, terms)
-    return fit_logit(X, y, names)
+    """Problem-level correctness on condition, type, count, and type x count.
+
+    The problems are counted by the fields the design reads, and the model is
+    fitted on one row per distinct cell, weighted by its count."""
+    counts = Counter(map(_CELL, problem_outcomes(records, phase)))
+    cells = sorted(counts)
+    X, y, names = build_design(
+        [ProblemOutcome(0, "", condition, problem_type, opportunity, 0, correct)
+         for condition, problem_type, opportunity, correct in cells], terms)
+    return fit_logit(X, y, names, weights=[counts[cell] for cell in cells])
 
 
 def posttest_effect(records):

@@ -156,9 +156,11 @@ def _cmd_run(args):
     marks.append(time.perf_counter())
     write_transactions(out / "transactions.csv", records)
     marks.append(time.perf_counter())
-    _write_csv(out / "curves.csv", curve_rows(learning_curve(records)))
+    # The curves and models read problem outcomes, which first rows decide.
+    first = first_rows(records)
+    _write_csv(out / "curves.csv", curve_rows(learning_curve(first)))
 
-    summaries = _regressions(config.study == "box_arrows", records)
+    summaries = _regressions(config.study == "box_arrows", first)
     text_parts, reg_rows = [], [("model", "term", "odds_ratio", "ci_low",
                                  "ci_high", "p_value")]
     for model, summary in summaries.items():

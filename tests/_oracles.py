@@ -13,6 +13,8 @@ each record's ``as_row()``.  ``csv_read_transactions`` is the reference for
 ``experiment.read_transactions``: ``csv.reader`` and ``_record`` over every
 row, with no column-wise decoding.  ``reference_memory`` is working memory
 as its definition states it, built field by field with no shape cache.
+``reference_fit`` is the row-level form of the log-level models: one design
+row per problem, each counted once.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import csv
 import itertools
 from fractions import Fraction
 
+from simtutor.analytics import build_design, fit_logit, problem_outcomes
 from simtutor.experiment import COLUMNS, _integer, _Memo, _record, _text
 from simtutor.induction import (
     Lit,
@@ -154,6 +157,12 @@ def reference_problem_outcomes(records, phase):
                     rec.problem_type, rec.opportunity, position,
                     rec.problem_correct))
     return out
+
+
+def reference_fit(records, phase, terms):
+    """A log-level model fitted on one design row per problem, unweighted;
+    ``analytics.fit_logistic`` must give the same fit from counted cells."""
+    return fit_logit(*build_design(problem_outcomes(records, phase), terms))
 
 
 def evaluate(expr, values):

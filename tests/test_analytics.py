@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from simtutor.analytics import (
     DesignError,
+    RegressionSummary,
     SeparationError,
+    TermEstimate,
     accuracy_by_condition,
     build_design,
     curve_rows,
@@ -25,10 +28,10 @@ from simtutor.analytics import (
     problem_outcomes,
     score,
 )
-from simtutor.experiment import TrialRecord, filter_hard
+from simtutor.experiment import TrialRecord, filter_hard, fractions_config, run_study
 from simtutor.state import ConfigError
 
-from _oracles import reference_problem_outcomes
+from _oracles import reference_fit, reference_problem_outcomes
 
 
 def record(agent, problem, correct, *, ptype="add_same", condition="blocked",
@@ -304,6 +307,143 @@ def test_odds_ratio_is_exp_coef_with_wald_interval():
     assert est.ci_high == pytest.approx(math.exp(est.coef + 1.959963984540054 * est.se))
 
 
+def _outcome(fit, *args, **kwargs):
+    """The fit's summary, or the (type, message) of the error it raised."""
+    try:
+        return fit(*args, **kwargs)
+    except (DesignError, SeparationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_fit(fit, ref):
+    if isinstance(ref, tuple):
+        assert fit == ref
+        return
+    assert list(fit.terms) == list(ref.terms)
+    # A fit stopped at MAX_ITER drifts along a direction where the likelihood
+    # is flat, so only its likelihood, not its coefficients, is determined.
+    for key in ("coef", "se") if ref.converged else ():
+        np.testing.assert_allclose([getattr(t, key) for t in fit.terms.values()],
+                                   [getattr(t, key) for t in ref.terms.values()],
+                                   rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(fit.ll_history, ref.ll_history, rtol=1e-9, atol=1e-9)
+    assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9, abs=1e-9)
+    assert fit.tjur_r2 == pytest.approx(ref.tjur_r2, rel=1e-9, abs=1e-9, nan_ok=True)
+    assert (fit.n_observations, fit.converged, fit.n_iterations) == \
+        (ref.n_observations, ref.converged, ref.n_iterations)
+    assert type(fit.n_observations) is int
+
+
+# A design of small categorical columns, with a count and an outcome per row.
+_counted_rows = st.lists(st.tuples(st.integers(0, 2), st.booleans(), st.booleans(),
+                                   st.integers(1, 6)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_counted_rows)
+@example(rows=[(x, b, y, c) for x in range(3) for b in (False, True)
+               for y, c in ((False, 3), (True, 1 + x))])
+@example(rows=[  # separated: x and b diverge together, 1e-5 apart
+    (1, False, True, 1), (2, True, True, 1), (0, True, False, 3), (0, True, True, 1)])
+@example(rows=[  # stops at MAX_ITER, with upper CI bounds past the float range
+    (1, False, True, 1), (2, False, True, 2), (0, True, False, 5), (2, False, True, 1),
+    (2, True, True, 2), (2, False, True, 5), (0, True, True, 6), (0, True, True, 3)])
+def test_weighted_fit_equals_the_fit_on_repeated_rows(rows):
+    X = np.array([(1.0, x, float(b)) for x, b, _y, _c in rows])
+    y = np.array([float(y) for _x, _b, y, _c in rows])
+    counts = np.array([c for *_row, c in rows])
+    names = ["Intercept", "x", "b"]
+    _assert_same_fit(
+        _outcome(fit_logit, X, y, names, weights=counts),
+        _outcome(fit_logit, np.repeat(X, counts, axis=0), np.repeat(y, counts), names))
+
+
+def test_weighted_score_vanishes_at_the_weighted_solution():
+    rng = np.random.default_rng(8)
+    X = np.column_stack([np.ones(12), np.repeat([0.0, 1.0, 2.0], 4),
+                         np.tile([0.0, 1.0], 6)])
+    y = np.tile([0.0, 0.0, 1.0, 1.0], 3)
+    counts = rng.integers(1, 20, size=12)
+    fit = fit_logit(X, y, ["Intercept", "x", "b"], weights=counts)
+    beta = np.array([est.coef for est in fit.terms.values()])
+    assert fit.converged and fit.n_observations == counts.sum()
+    assert np.max(np.abs(score(X, y, beta, counts))) < 1e-6
+    np.testing.assert_allclose(
+        score(X, y, beta, counts),
+        score(np.repeat(X, counts, axis=0), np.repeat(y, counts), beta), atol=1e-9)
+    assert log_likelihood(X, y, beta, counts) == pytest.approx(
+        log_likelihood(np.repeat(X, counts, axis=0), np.repeat(y, counts), beta))
+
+
+def test_an_interval_past_the_float_range_has_an_infinite_bound():
+    # Nearly separated: x and b stay under the bound, with SEs above 1e5.
+    X = np.repeat([[1.0, 0, 0], [1, 2, 1], [1, 2, 0], [1, 1, 1], [1, 0, 0]],
+                  [12, 4, 5, 1, 1], axis=0)
+    y = np.zeros(len(X))
+    y[-1] = 1.0
+    fit = fit_logit(X, y, ["Intercept", "x", "b"])
+    assert fit.terms["x"].ci_high == math.inf
+    assert fit.terms["x"].ci_low == 0.0
+    assert "[0.00, inf]" in fit.table()
+
+
+def test_weights_of_one_change_no_bit_of_the_fit():
+    X, y = _synthetic(3_000, (0.4, -0.6), seed=7)
+    assert fit_logit(X, y, ["Intercept", "x"], weights=np.ones(3_000, dtype=int)) == \
+        fit_logit(X, y, ["Intercept", "x"])
+
+
+@pytest.mark.parametrize("weights", [[1, 2], [1, 0, 2], [1.0, 1.0, 2.0], [1, -1, 2]])
+def test_weights_must_be_a_positive_integer_count_per_row(weights):
+    X = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match="integer count"):
+        fit_logit(X, np.array([0.0, 1.0, 0.0]), ["Intercept", "x"], weights=weights)
+
+
+def test_a_tie_between_diverging_terms_names_the_first_in_design_order():
+    # Posttest outcomes that condition and type separate symmetrically: both
+    # coefficients diverge at the same rate, equal to about 12 digits.
+    records = run_study(fractions_config(n_agents=6, replications=1, seed=1))
+    message = "separation detected on term 'condition[interleaved]'"
+    with pytest.raises(SeparationError, match=re.escape(message)):
+        posttest_effect(records)
+    with pytest.raises(SeparationError, match=re.escape(message)):
+        reference_fit(records, "posttest", ("condition", "type"))
+    # The same holds whatever order the design rows come in.
+    X, y, names = build_design(problem_outcomes(records, "posttest"),
+                               ("condition", "type"))
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(len(y))
+        with pytest.raises(SeparationError, match=re.escape(message)):
+            fit_logit(X[order], y[order], names)
+
+
+def _summary(**cis):
+    terms = {name: TermEstimate(coef=0.0, se=1.0, odds_ratio=ci[0], ci_low=ci[1],
+                                ci_high=ci[2], p_value=ci[3])
+             for name, ci in cis.items()}
+    return RegressionSummary(terms=terms, log_likelihood=-1.0, n_observations=10,
+                             tjur_r2=0.5, converged=True, n_iterations=3)
+
+
+def test_table_keeps_its_layout_when_every_interval_fits():
+    assert _summary(Intercept=(0.77, 0.21, 2.77, 0.6845),
+                    count=(2.09, 0.42, 10.41, 0.0012)).table() == (
+        "term       OR [95% CI]            p\n"
+        "Intercept  0.77 [0.21, 2.77]     0.6845 \n"
+        "count      2.09 [0.42, 10.41]    0.0012*\n"
+        "n = 10, logLik = -1.00, Tjur R2 = 0.500")
+
+
+def test_table_keeps_a_space_before_the_p_column():
+    lines = _summary(Intercept=(0.77, 0.21, 2.77, 0.6845),
+                     count=(598.08, 371.54, 962.75, 0.0)).table().splitlines()
+    assert lines[2] == "count      598.08 [371.54, 962.75] 0.0000*"
+    assert lines[1] == "Intercept  0.77 [0.21, 2.77]       0.6845 "
+    # The header's p moves with the column, one place right as before.
+    assert lines[0].index("p") == lines[2].index("0.0000") + 1
+
+
 # -- log-level model builders ------------------------------------------------------
 
 def _balanced_null_log(seed=0):
@@ -367,6 +507,52 @@ def test_hard_problem_effect_uses_condition_and_count():
     assert set(fit.terms) == {"Intercept", "condition[unconstrained]", "count"}
     assert fit.n_observations == 120 * 8
     assert fit.terms["condition[unconstrained]"].odds_ratio < 1.0
+
+
+# Few values per field, so design cells repeat; small logs are often
+# separated or rank deficient, and the models must fail alike then too.
+_categorical_logs = st.lists(st.builds(
+    record, st.sampled_from([f"a{i}" for i in range(6)]),
+    st.sampled_from([f"p{j}" for j in range(6)]), st.booleans(),
+    ptype=st.sampled_from(("add_diff", "multiply", "box_hard")),
+    condition=st.sampled_from(("blocked", "interleaved")),
+    phase=st.sampled_from(("tutor", "posttest")), opportunity=st.integers(0, 2),
+    rep=st.integers(0, 1)), max_size=80)
+
+
+def _mixed_log(seed=0):
+    rng = random.Random(seed)
+    return [record(f"a{i}", f"p{j}", rng.random() < 0.3 + 0.1 * (i % 2) + 0.1 * j,
+                   ptype=ptype, condition=("blocked", "interleaved")[i % 2],
+                   phase=phase, opportunity=(i // 2 + j) % 3)
+            for i in range(40) for j, ptype in enumerate(("add_diff", "multiply",
+                                                         "box_hard", "add_diff"))
+            for phase in ("tutor", "posttest")]
+
+
+_MODELS = ((fit_logistic, lambda rows: reference_fit(
+                rows, "tutor", ("condition", "type", "count", "type:count"))),
+           (posttest_effect, lambda rows: reference_fit(
+                rows, "posttest", ("condition", "type"))),
+           (hard_problem_effect, lambda rows: reference_fit(
+                filter_hard(rows), "tutor", ("condition", "count"))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_categorical_logs, mirrored=st.booleans())
+@example(rows=_mixed_log(), mirrored=False)
+def test_cell_count_fits_match_the_row_level_fit(rows, mirrored):
+    if mirrored:  # each problem again, with the other outcome: no separation
+        rows = rows + [r._replace(replication=r.replication + 2,
+                                  problem_correct=not r.problem_correct) for r in rows]
+    for fit, reference in _MODELS:
+        _assert_same_fit(_outcome(fit, rows), _outcome(reference, rows))
+
+
+def test_the_mixed_log_fits_every_model():
+    # The explicit example above compares fitted models, not two errors.
+    for fit, _reference in _MODELS:
+        assert fit(_mixed_log()).converged
 
 
 def test_accuracy_by_condition_groups_problem_level():

@@ -1,12 +1,22 @@
 """End-to-end command-line behavior on scaled-down runs."""
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
 
 import pytest
 
 from simtutor import cli
+from simtutor.analytics import (
+    DesignError,
+    SeparationError,
+    curve_rows,
+    fit_logistic,
+    learning_curve,
+    posttest_effect,
+)
 from simtutor.cli import main
 from simtutor.experiment import TrialRecord, read_transactions, write_transactions
 from simtutor.state import (
@@ -157,6 +167,43 @@ def test_report_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
         gc.enable()
     assert seen == [False]
     assert "unknown outcome 'RIGHT'" in capsys.readouterr().err
+
+
+def test_run_collapses_the_log_once(tmp_path, monkeypatch):
+    first_rows, collapsed, read = cli.first_rows, [], {}
+
+    def checked(records):
+        collapsed.append(first_rows(records))
+        return collapsed[-1]
+
+    def reading(name):
+        original = getattr(cli, name)
+
+        def wrapped(records):
+            read.setdefault(name, records)
+            return original(records)
+        return wrapped
+
+    monkeypatch.setattr(cli, "first_rows", checked)
+    for name in ("learning_curve", "fit_logistic", "posttest_effect"):
+        monkeypatch.setattr(cli, name, reading(name))
+    out = run_dir(tmp_path)
+    assert len(collapsed) == 1
+    assert all(records is collapsed[0] for records in read.values())
+    assert set(read) == {"learning_curve", "fit_logistic", "posttest_effect"}
+    # The outputs are those of the whole log.
+    monkeypatch.undo()
+    records = read_transactions(out / "transactions.csv")
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(curve_rows(learning_curve(records)))
+    assert (out / "curves.csv").read_bytes() == buf.getvalue().encode()
+    expected = []
+    for model, fit in (("tutor", fit_logistic), ("posttest", posttest_effect)):
+        try:
+            expected.append(f"== {model} ==\n{fit(records).table()}\n")
+        except (DesignError, SeparationError) as exc:
+            expected.append(f"== {model} ==\nnot estimable: {exc}\n")
+    assert (out / "regression.txt").read_text() == "\n".join(expected)
 
 
 def test_env_var_sets_the_default_output_root(tmp_path, monkeypatch):
