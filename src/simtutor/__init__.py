@@ -13,6 +13,7 @@ from .analytics import (
 )
 from .experiment import (
     ExperimentConfig,
+    TransactionLog,
     TrialRecord,
     box_arrows_config,
     fractions_config,
@@ -33,8 +34,8 @@ __all__ = [
     "Agent", "Activation", "ProblemResult", "decide", "perceive", "run_problem",
     "CurvePoint", "RegressionSummary", "fit_logistic", "hard_problem_effect",
     "learning_curve", "posttest_effect",
-    "ExperimentConfig", "TrialRecord", "box_arrows_config", "fractions_config",
-    "run_study", "sequence_fractions",
+    "ExperimentConfig", "TransactionLog", "TrialRecord", "box_arrows_config",
+    "fractions_config", "run_study", "sequence_fractions",
     "Skill", "explain", "generalize", "induce_from_demo", "refine_conditions",
     "SAI", "FieldState", "WorkingMemory",
     "ProblemScript", "TutorSession", "ambiguity_count", "gen_box_problem",

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .experiment import CONDITIONS, collector_paused, filter_hard
+from .experiment import CONDITIONS, TransactionLog, collector_paused, filter_hard
 from .state import ConfigError
 
 TYPE_REFERENCE = "add_diff"
@@ -92,13 +91,14 @@ class RegressionSummary:
 
 @collector_paused()
 def problem_outcomes(records, phase: str = "tutor"):
-    """Collapse step rows to one outcome per problem, with phase positions.
-    Rows collapse by key, contiguous or not, and a key's first row wins."""
+    """One outcome per problem of a log or of its rows, with phase positions.
+    Entries collapse by key, contiguous or not, and a key's first entry (that
+    is, its first row) wins."""
     seen = set()
     out = []
     positions: dict = {}
     for (agent_id, replication, condition, rec_phase, problem_id, problem_type,
-         opportunity, _step, _outcome, correct) in records:
+         opportunity, correct, _steps) in TransactionLog.of(records).entries:
         if rec_phase != phase:
             continue
         key = (replication, agent_id, problem_id)
@@ -113,23 +113,6 @@ def problem_outcomes(records, phase: str = "tutor"):
     return out
 
 
-def first_rows(records):
-    """The first row of each (replication, agent, problem, phase, type), in log
-    order.  ``problem_outcomes``, ``filter_hard`` and the set of problem types
-    give the same results on these rows as on all of ``records``."""
-    key = itemgetter(1, 0, 4, 3, 5)
-    starts = list(map(next, map(itemgetter(1), groupby(records, key))))
-    if len(set(map(itemgetter(4), starts))) == len(starts):
-        return starts  # no problem id starts two runs, so no key does
-    seen, out = set(), []
-    for row in starts:
-        k = key(row)
-        if k not in seen:
-            seen.add(k)
-            out.append(row)
-    return out
-
-
 def _interval(p_hat: float, n: int):
     se = math.sqrt(p_hat * (1 - p_hat) / n)
     return max(0.0, p_hat - 1.959963984540054 * se), \
@@ -141,15 +124,14 @@ def learning_curve(records):
     problems = problem_outcomes(records, "tutor")
     if not problems:
         raise ConfigError("no 'tutor' rows in the log")
-    buckets: dict = {}
+    counts, errors = Counter(), Counter()
     for p in problems:
-        buckets.setdefault((p.condition, p.position), []).append(0 if p.correct else 1)
+        counts[p.condition, p.position] += 1
+        errors[p.condition, p.position] += not p.correct
     points = []
-    for (condition, position) in sorted(buckets):
-        errs = buckets[(condition, position)]
-        mean = sum(errs) / len(errs)
-        low, high = _interval(mean, len(errs))
-        points.append(CurvePoint(condition, position, mean, low, high, len(errs)))
+    for (condition, position), n in sorted(counts.items()):
+        mean = errors[condition, position] / n
+        points.append(CurvePoint(condition, position, mean, *_interval(mean, n), n))
     return points
 
 
@@ -268,13 +250,6 @@ def fit_logit(X, y, names, weights=None):
                              ll_history=history)
 
 
-def _condition_reference(levels):
-    for ref in CONDITION_REFERENCES:
-        if ref in levels:
-            return ref
-    return sorted(levels)[0]
-
-
 def build_design(problems, terms):
     """Design matrix from problem outcomes. Reference levels: the blocked /
     constrained condition and the different-denominator addition type."""
@@ -285,7 +260,8 @@ def build_design(problems, terms):
     conditions = sorted({p.condition for p in problems})
     types = sorted({p.problem_type for p in problems})
     if "condition" in terms and len(conditions) > 1:
-        ref = _condition_reference(conditions)
+        ref = next((ref for ref in CONDITION_REFERENCES if ref in conditions),
+                   conditions[0])
         for level in conditions:
             if level == ref:
                 continue
@@ -346,9 +322,8 @@ def hard_problem_effect(records):
 
 
 def accuracy_by_condition(records, phase: str = "tutor"):
-    problems = problem_outcomes(records, phase)
-    totals: dict = {}
-    for p in problems:
-        good, count = totals.get(p.condition, (0, 0))
-        totals[p.condition] = (good + (1 if p.correct else 0), count + 1)
-    return {cond: good / count for cond, (good, count) in sorted(totals.items())}
+    totals, good = Counter(), Counter()
+    for p in problem_outcomes(records, phase):
+        totals[p.condition] += 1
+        good[p.condition] += p.correct
+    return {cond: good[cond] / count for cond, count in sorted(totals.items())}

@@ -20,7 +20,6 @@ from .analytics import (
     SeparationError,
     accuracy_by_condition,
     curve_rows,
-    first_rows,
     fit_logistic,
     hard_problem_effect,
     learning_curve,
@@ -129,7 +128,8 @@ def _write_csv(path, rows):
 
 
 def _regressions(box, records):
-    """Fit a study's models: name -> summary, or the error of an unfit model.
+    """Fit a study's models: name -> summary, or the error of an unfit model,
+    which a fit that stopped without converging counts as.
 
     The fit functions are read from this module's globals when called.
     """
@@ -140,7 +140,10 @@ def _regressions(box, records):
     out = {}
     for name, fit in models.items():
         try:
-            out[name] = fit(records)
+            out[name] = summary = fit(records)
+            if not summary.converged:
+                out[name] = RuntimeError(
+                    f"no convergence in {summary.n_iterations} iterations")
         except (SeparationError, DesignError) as exc:
             # Valid on small runs; the log itself is still the product.
             out[name] = exc
@@ -156,11 +159,9 @@ def _cmd_run(args):
     marks.append(time.perf_counter())
     write_transactions(out / "transactions.csv", records)
     marks.append(time.perf_counter())
-    # The curves and models read problem outcomes, which first rows decide.
-    first = first_rows(records)
-    _write_csv(out / "curves.csv", curve_rows(learning_curve(first)))
+    _write_csv(out / "curves.csv", curve_rows(learning_curve(records)))
 
-    summaries = _regressions(config.study == "box_arrows", first)
+    summaries = _regressions(config.study == "box_arrows", records)
     text_parts, reg_rows = [], [("model", "term", "odds_ratio", "ci_low",
                                  "ci_high", "p_value")]
     for model, summary in summaries.items():
@@ -179,13 +180,8 @@ def _cmd_run(args):
     manifest = {
         "tool": "simtutor",
         "version": __version__,
-        "config": {
-            "study": args.study,
-            "agents": config.n_agents,
-            "replications": config.replications,
-            "seed": config.seed,
-            "jobs": config.jobs,
-        },
+        "config": {"study": args.study, **{key: getattr(config, attr)
+                                           for key, attr in CONFIG_KEYS.items()}},
         "seed": config.seed,
         "outputs": ["transactions.csv", "curves.csv", "regression.txt",
                     "regression.csv"],
@@ -203,20 +199,19 @@ def _cmd_report(args):
     records = read_transactions(args.log)
     if not records:
         raise ConfigError("empty transaction log")
-    # Every summary below reads problem outcomes, which first rows decide.
-    first = first_rows(records)
-    is_box = any(r.problem_type.startswith("box_") for r in first)
+    is_box = any(entry[5].startswith("box_")  # problem_type
+                 for entry in records.entries)
     print(f"log: {args.log} ({len(records)} rows)")
     if is_box:
         print("hard-problem accuracy by condition:")
-        for cond, acc in accuracy_by_condition(filter_hard(first)).items():
+        for cond, acc in accuracy_by_condition(filter_hard(records)).items():
             print(f"  {cond:15s} {acc:.3f}")
     else:
         for phase in ("tutor", "posttest"):
             print(f"{phase} accuracy by condition:")
-            for cond, acc in accuracy_by_condition(first, phase).items():
+            for cond, acc in accuracy_by_condition(records, phase).items():
                 print(f"  {cond:15s} {acc:.3f}")
-    for model, summary in _regressions(is_box, first).items():
+    for model, summary in _regressions(is_box, records).items():
         print(f"\n{model} regression:")
         if isinstance(summary, Exception):
             print(f"not estimable: {summary}")

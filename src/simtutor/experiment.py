@@ -12,10 +12,11 @@ import csv
 import gc
 import multiprocessing
 import random
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
-from operator import add
+from itertools import chain, groupby, islice, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .agent import Agent, run_problem
@@ -40,11 +41,11 @@ CONDITIONS = {"fractions": ("blocked", "interleaved"),
 
 COLUMNS = ("agent_id", "replication", "condition", "phase", "problem_id",
            "problem_type", "opportunity", "step_id", "outcome", "problem_correct")
-# One log row as ``csv.writer`` writes ``as_row()`` when no field is quoted.
-_LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d\r\n"
-# Rows formatted, or lines decoded (ten strings each), at once: enough to
-# amortize the checks, few enough for flat RSS.
-WRITE_CHUNK, READ_CHUNK = 1024, 256
+# A row's first seven fields as ``csv.writer`` writes them when none is quoted.
+_PREFIX = "%s,%s,%s,%s,%s,%s,%s,"
+# Log entries formatted, or lines decoded (ten strings each), at once: enough
+# to amortize the checks, few enough for flat RSS.
+WRITE_CHUNK, READ_CHUNK = 256, 256
 _OUTCOMES = frozenset((CORRECT, ERROR, HINT))
 _FLAGS = frozenset(("0\r\n", "1\r\n"))  # problem_correct and its line end
 
@@ -64,11 +65,60 @@ class TrialRecord(NamedTuple):
     problem_correct: bool
 
     def as_row(self):
-        (agent_id, replication, condition, phase, problem_id, problem_type,
-         opportunity, step_id, outcome, problem_correct) = self
-        return (agent_id, str(replication), condition, phase, problem_id,
-                problem_type, str(opportunity), step_id, outcome,
-                "1" if problem_correct else "0")
+        return (*map(str, self[:9]), "1" if self.problem_correct else "0")
+
+
+def _entries(records, pairs):
+    """The ``TransactionLog`` entries of rows ``records``; each (step_id, outcome)
+    pair becomes the equal one that dict ``pairs`` holds, or is added to it."""
+    out = []
+    for key, rows in groupby(records, itemgetter(0, 1, 2, 3, 4, 5, 6, 9)):
+        steps = list(map(itemgetter(7, 8), rows))
+        out.append((*key, tuple(map(pairs.setdefault, steps, steps))))
+    return out
+
+
+def _extend(entries, more):
+    """Append list ``more`` to ``entries``, merging a run split between them."""
+    if entries and more and entries[-1][:8] == more[0][:8]:
+        *key, steps = entries.pop()
+        more[0] = (*key, steps + more[0][8])
+    entries += more
+
+
+class TransactionLog:
+    """The transaction log, one entry per run of consecutive rows that share
+    the seven problem-level fields and ``problem_correct``: those eight values
+    in ``COLUMNS`` order, then a tuple of the run's (step_id, outcome) pairs.
+
+    It reads as its rows: ``len()`` counts them, iteration yields one
+    ``TrialRecord`` per row in log order, and a log equals any sequence of
+    the same rows."""
+
+    __slots__ = ("entries", "_rows")
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+        self._rows = sum(len(entry[8]) for entry in self.entries)
+
+    @classmethod
+    def of(cls, records):
+        """``records`` if it is a log, else the log of those rows."""
+        return records if isinstance(records, cls) else cls(_entries(records, {}))
+
+    def __len__(self):
+        return self._rows
+
+    def __iter__(self):
+        for entry in self.entries:
+            head, tail = entry[:7], entry[7:8]
+            for pair in entry[8]:
+                yield tuple.__new__(TrialRecord, head + pair + tail)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TransactionLog, Sequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class _Memo(dict):
@@ -126,12 +176,13 @@ def _record(row, texts, numbers):
                        problem_correct == "1")
 
 
-def _plain_records(lines, texts, numbers):
-    """The records of ``lines`` split on commas, as ``csv.reader`` splits ten
+def _plain_entries(lines, texts, numbers, pairs):
+    """The entries of ``lines`` split on commas, as ``csv.reader`` splits ten
     unquoted NUL-free fields ending in CRLF; None for other lines or a bad token.
 
     Each line is split at its last three commas.  A problem's rows share the
-    seven fields before them, so each distinct prefix is parsed once a chunk."""
+    seven fields before them, so each distinct prefix is parsed once a chunk;
+    ``pairs`` is a ``_Memo`` of (step_id, outcome) token pairs."""
     text = "".join(lines)
     if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -151,17 +202,18 @@ def _plain_records(lines, texts, numbers):
     try:
         heads = dict(zip(distinct, zip(*map(map, (t, n, t, t, t, t, n),
                                             [fields[j::7] for j in range(7)]))))
-        return list(map(tuple.__new__, repeat(TrialRecord), map(
-            add, map(heads.__getitem__, prefixes),
-            zip(map(t, steps), map(t, outcomes), map("1\r\n".__eq__, flags)))))
+        row_pairs = list(map(pairs.__getitem__, zip(steps, outcomes)))
     except ValueError:
         return None
+    runs = groupby(zip(prefixes, flags, row_pairs), itemgetter(0, 1))
+    return [(*heads[prefix], flag == "1\r\n", tuple(map(itemgetter(2), run)))
+            for (prefix, flag), run in runs]
 
 
 @contextmanager
 def collector_paused():
     """Pause the cyclic garbage collector, then restore its state; also a decorator.
-    Records hold no reference cycle, so a collection would only walk them."""
+    Log entries hold no reference cycle, so a collection would only walk them."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -215,24 +267,20 @@ def sequence_fractions(condition: str, rng, id_prefix: str = "p"):
     """
     if condition not in ("blocked", "interleaved"):
         raise ConfigError(f"unknown fractions condition {condition!r}")
-    blocks = []
+    items = []
     for ptype in ("add_same", "add_diff", "multiply"):
         block = [gen_fraction_problem(ptype, rng, f"{id_prefix}-{ptype}-{i}")
                  for i in range(FRACTIONS_TRAINING[ptype])]
         rng.shuffle(block)
-        blocks.append(block)
-    if condition == "blocked":
-        return [p for block in blocks for p in block]
-    merged = [p for block in blocks for p in block]
-    rng.shuffle(merged)
-    return merged
+        items += block
+    if condition == "interleaved":
+        rng.shuffle(items)
+    return items
 
 
 def _fractions_posttest(rng, id_prefix: str):
-    items = []
-    for ptype, count in FRACTIONS_POSTTEST.items():
-        for i in range(count):
-            items.append(gen_fraction_problem(ptype, rng, f"{id_prefix}-post-{ptype}-{i}"))
+    items = [gen_fraction_problem(ptype, rng, f"{id_prefix}-post-{ptype}-{i}")
+             for ptype, count in FRACTIONS_POSTTEST.items() for i in range(count)]
     rng.shuffle(items)
     return items
 
@@ -257,11 +305,6 @@ def agent_condition(config: ExperimentConfig, agent_index: int) -> str:
     return CONDITIONS[config.study][agent_index % 2]
 
 
-def _agent_pretrained(agent_index: int) -> bool:
-    # Crossed with condition: indices 0,1 pretrain; 2,3 do not; and so on.
-    return (agent_index // 2) % 2 == 0
-
-
 def _generate_sets(config: ExperimentConfig, replication: int, agent_index: int):
     """(pretrain, training, posttest) problem lists for one agent cell."""
     condition = agent_condition(config, agent_index)
@@ -271,7 +314,8 @@ def _generate_sets(config: ExperimentConfig, replication: int, agent_index: int)
         return [], sequence_fractions(condition, rng, prefix), \
             _fractions_posttest(rng, prefix)
     pretrain = []
-    if _agent_pretrained(agent_index):
+    # Crossed with condition: indices 0,1 pretrain; 2,3 do not; and so on.
+    if (agent_index // 2) % 2 == 0:
         pretrain = [gen_box_problem("easy", condition, rng, f"{prefix}-pre-{i}")
                     for i in range(BOX_PRETRAIN_EASY)]
     return pretrain, _box_curriculum(condition, rng, prefix), []
@@ -280,8 +324,8 @@ def _generate_sets(config: ExperimentConfig, replication: int, agent_index: int)
 def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
               problems=None):
     """Simulate one agent over ``problems``, its (pretrain, training, posttest)
-    script lists, generated when None; returns one plain tuple per step, in
-    ``COLUMNS`` order, which ``run_study`` makes a ``TrialRecord`` out of the pool."""
+    script lists, generated when None; returns its ``TransactionLog``, one entry
+    per logged problem."""
     condition = agent_condition(config, agent_index)
     agent_id = f"a{agent_index:03d}"
     if problems is None:
@@ -290,26 +334,25 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
 
     agent = Agent()
     opportunities: dict = {}
-    rows = []
+    entries, pairs = [], {}
 
     def run_block(scripts, phase, mode, log=True):
         for script in scripts:
             session = TutorSession(script, mode)
             result = run_problem(agent, session)
-            problem_id, problem_type = script.problem_id, script.problem_type
+            problem_type, steps = script.problem_type, result.steps
             opp = opportunities.get(problem_type, 0)
-            if log:
-                correct = result.correct
-                for step_role, outcome in result.steps:
-                    rows.append((
-                        agent_id, replication, condition, phase, problem_id,
-                        problem_type, opp, step_role, outcome, correct))
+            if log and steps:
+                entries.append((
+                    agent_id, replication, condition, phase, script.problem_id,
+                    problem_type, opp, result.correct,
+                    tuple(map(pairs.setdefault, steps, steps))))
             opportunities[problem_type] = opp + 1
 
     run_block(pretrain, "tutor", "training", log=False)
     run_block(training, "tutor", "training")
     run_block(posttest, "posttest", "posttest")
-    return rows
+    return TransactionLog(entries)
 
 
 def _worker(args):
@@ -358,13 +401,8 @@ def run_study(config: ExperimentConfig, problem_sets=None):
             results = pool.map(_worker, tasks, chunksize=8)
     else:
         results = [_worker(t) for t in tasks]
-    # In task order; each cell's list is freed once its records are built.
-    records = []
-    with collector_paused():
-        for i, rows in enumerate(results):
-            records += map(tuple.__new__, repeat(TrialRecord), rows)
-            results[i] = None
-    return records
+    # In task order, which is (replication, agent, problem) order.
+    return TransactionLog(chain.from_iterable(log.entries for log in results))
 
 
 def dump_problem_sets(config: ExperimentConfig):
@@ -379,23 +417,30 @@ def dump_problem_sets(config: ExperimentConfig):
 
 def filter_hard(records):
     """Scoring restriction for the box study: hard problems only."""
-    return [r for r in records if r.problem_type == "box_hard"]
+    return TransactionLog(entry for entry in TransactionLog.of(records).entries
+                          if entry[5] == "box_hard")  # problem_type
+
+
+def _lines(entry):
+    """An entry's rows as ``csv.writer`` writes them when none is quoted."""
+    head, flag = _PREFIX % entry[:7], ",1\r\n" if entry[7] else ",0\r\n"
+    return "".join((head, (flag + head).join(map(",".join, entry[8])), flag))
 
 
 def write_transactions(path, records):
     """Write the log exactly as ``csv.writer`` writes each ``as_row()``.
 
-    A chunk of rows whose formatted text holds 9 commas, one CR, one LF and
-    no quote per row has no field to quote, and is written as formatted; any
-    other chunk goes through ``csv.writer``.  Fields must have the types
-    ``TrialRecord`` declares (a ``bool`` ``problem_correct``)."""
+    Each entry's prefix is formatted once.  A chunk of entries whose text
+    holds 9 commas, one CR, one LF and no quote per row has no field to quote,
+    and is written as formatted; any other chunk goes through ``csv.writer``.
+    Step ids and outcomes must be ``str``, as ``TrialRecord`` declares."""
+    entries = TransactionLog.of(records).entries
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
-        rows = iter(records)
-        while chunk := list(islice(rows, WRITE_CHUNK)):
-            text = "".join(map(_LINE.__mod__, chunk))
-            n = len(chunk)
+        for start in range(0, len(entries), WRITE_CHUNK):
+            chunk = TransactionLog(entries[start:start + WRITE_CHUNK])
+            text, n = "".join(map(_lines, chunk.entries)), len(chunk)
             if (text.count(",") == 9 * n and text.count("\r") == n
                     and text.count("\n") == n and '"' not in text):
                 fh.write(text)
@@ -405,24 +450,28 @@ def write_transactions(path, records):
 
 @collector_paused()
 def read_transactions(path):
-    """Parse and check a whole log, ``READ_CHUNK`` lines at a time; from the
-    first chunk ``_plain_records`` declines on, ``csv.reader`` reads it."""
+    """Parse and check a whole log into a ``TransactionLog``, ``READ_CHUNK``
+    lines at a time; from the first chunk ``_plain_entries`` declines on,
+    ``csv.reader`` reads it."""
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        # One memo per read: each distinct token is checked and parsed once,
-        # and every record holding it shares one object.
+        # One memo per read: each distinct token and (step_id, outcome) pair
+        # is checked and parsed once, and every entry holding it shares one
+        # object.
         texts, numbers = _Memo(_text), _Memo(_integer)
+        pairs = _Memo(lambda pair: tuple(map(texts.__getitem__, pair)))
         consumed = 0  # lines read before ``reader``'s first
         try:
             if tuple(next(reader, ())) == COLUMNS:
-                consumed, records = reader.line_num, []
-                while (lines := list(islice(fh, READ_CHUNK))) and (
-                        chunk := _plain_records(lines, texts, numbers)) is not None:
-                    records += chunk
+                consumed, entries = reader.line_num, []
+                while (lines := list(islice(fh, READ_CHUNK))) and (chunk := (
+                        _plain_entries(lines, texts, numbers, pairs))) is not None:
+                    _extend(entries, chunk)
                     consumed += len(lines)
                 reader = csv.reader(chain(lines, fh))
-                records += [_record(row, texts, numbers) for row in reader]
-                return records
+                _extend(entries, _entries(
+                    (_record(row, texts, numbers) for row in reader), pairs))
+                return TransactionLog(entries)
         except (ValueError, csv.Error) as exc:
             # Decoding cannot fail a chunk ahead: line_num is the failing row's.
             raise ConfigError(f"malformed transaction row "

@@ -14,15 +14,20 @@ each record's ``as_row()``.  ``csv_read_transactions`` is the reference for
 row, with no column-wise decoding.  ``reference_memory`` is working memory
 as its definition states it, built field by field with no shape cache.
 ``reference_fit`` is the row-level form of the log-level models: one design
-row per problem, each counted once.
+row per problem, each counted once.  ``row_problem_outcomes``,
+``row_filter_hard`` and ``first_rows`` are the row-level collapse, hard-item
+filter and first-row pass that the analytics ran on lists of step records
+before the log was stored one entry per problem.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from simtutor.analytics import build_design, fit_logit, problem_outcomes
+from simtutor.analytics import ProblemOutcome, build_design, fit_logit, problem_outcomes
 from simtutor.experiment import COLUMNS, _integer, _Memo, _record, _text
 from simtutor.induction import (
     Lit,
@@ -156,6 +161,49 @@ def reference_problem_outcomes(records, phase):
         out.append((rec.replication, rec.agent_id, rec.condition,
                     rec.problem_type, rec.opportunity, position,
                     rec.problem_correct))
+    return out
+
+
+def row_problem_outcomes(records, phase="tutor"):
+    """Step rows collapsed to one outcome per problem, with phase positions.
+    Rows collapse by key, contiguous or not, and a key's first row wins."""
+    seen = set()
+    out = []
+    positions: dict = {}
+    for (agent_id, replication, condition, rec_phase, problem_id, problem_type,
+         opportunity, _step, _outcome, correct) in records:
+        if rec_phase != phase:
+            continue
+        key = (replication, agent_id, problem_id)
+        if key in seen:
+            continue
+        seen.add(key)
+        agent_key = (replication, agent_id)
+        position = positions[agent_key] = positions.get(agent_key, 0) + 1
+        out.append(ProblemOutcome(replication, agent_id, condition, problem_type,
+                                  opportunity, position, correct))
+    return out
+
+
+def row_filter_hard(records):
+    """The rows of hard box problems."""
+    return [r for r in records if r.problem_type == "box_hard"]
+
+
+def first_rows(records):
+    """The first row of each (replication, agent, problem, phase, type), in log
+    order.  ``problem_outcomes``, ``filter_hard`` and the set of problem types
+    give the same results on these rows as on all of ``records``."""
+    key = itemgetter(1, 0, 4, 3, 5)
+    starts = list(map(next, map(itemgetter(1), groupby(records, key))))
+    if len(set(map(itemgetter(4), starts))) == len(starts):
+        return starts  # no problem id starts two runs, so no key does
+    seen, out = set(), []
+    for row in starts:
+        k = key(row)
+        if k not in seen:
+            seen.add(k)
+            out.append(row)
     return out
 
 

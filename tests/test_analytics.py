@@ -4,12 +4,14 @@ from __future__ import annotations
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from simtutor import analytics
 from simtutor.analytics import (
     DesignError,
     RegressionSummary,
@@ -18,7 +20,6 @@ from simtutor.analytics import (
     accuracy_by_condition,
     build_design,
     curve_rows,
-    first_rows,
     fit_logistic,
     fit_logit,
     hard_problem_effect,
@@ -28,10 +29,22 @@ from simtutor.analytics import (
     problem_outcomes,
     score,
 )
-from simtutor.experiment import TrialRecord, filter_hard, fractions_config, run_study
+from simtutor.experiment import (
+    TransactionLog,
+    TrialRecord,
+    filter_hard,
+    fractions_config,
+    run_study,
+)
 from simtutor.state import ConfigError
 
-from _oracles import reference_fit, reference_problem_outcomes
+from _oracles import (
+    first_rows,
+    reference_fit,
+    reference_problem_outcomes,
+    row_filter_hard,
+    row_problem_outcomes,
+)
 
 
 def record(agent, problem, correct, *, ptype="add_same", condition="blocked",
@@ -547,6 +560,38 @@ def test_cell_count_fits_match_the_row_level_fit(rows, mirrored):
                                   problem_correct=not r.problem_correct) for r in rows]
     for fit, reference in _MODELS:
         _assert_same_fit(_outcome(fit, rows), _outcome(reference, rows))
+
+
+def _summaries(records):
+    """Every summary of ``records``, or the (type, message) of its error,
+    with ``problem_outcomes`` and ``filter_hard`` looked up when called."""
+    def outcome(summary):
+        try:
+            return summary()
+        except (ConfigError, DesignError, SeparationError) as exc:
+            return type(exc), str(exc)
+    return ([outcome(lambda: analytics.problem_outcomes(records, phase))
+             for phase in ("tutor", "posttest")]
+            + [outcome(lambda: learning_curve(records))]
+            + [outcome(lambda: accuracy_by_condition(records, phase))
+               for phase in ("tutor", "posttest")],
+            [outcome(lambda: fit(records)) for fit, _reference in _MODELS])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_categorical_logs)
+@example(rows=_mixed_log())
+def test_summaries_of_a_log_match_those_of_its_rows(rows):
+    # The reference collapses and filters the rows one row at a time.
+    with mock.patch.multiple(analytics, problem_outcomes=row_problem_outcomes,
+                             filter_hard=row_filter_hard):
+        expected, expected_fits = _summaries(rows)
+    log = TransactionLog.of(rows)
+    assert len(log) == len(rows)
+    tables, fits = _summaries(log)
+    assert tables == expected
+    for fit, ref in zip(fits, expected_fits):
+        _assert_same_fit(fit, ref)
 
 
 def test_the_mixed_log_fits_every_model():

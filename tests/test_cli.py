@@ -8,12 +8,14 @@ import json
 
 import pytest
 
-from simtutor import cli
+from simtutor import cli, experiment
 from simtutor.analytics import (
+    MAX_ITER,
     DesignError,
     SeparationError,
     curve_rows,
     fit_logistic,
+    fit_logit,
     learning_curve,
     posttest_effect,
 )
@@ -150,13 +152,13 @@ def test_report_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
     log = run_dir(tmp_path) / "transactions.csv"
     bad = tmp_path / "bad.csv"
     bad.write_bytes(log.read_bytes().replace(b"CORRECT", b"RIGHT", 1))
-    first_rows, seen = cli.first_rows, []
+    regressions, seen = cli._regressions, []
 
-    def checked(records):
+    def checked(box, records):
         seen.append(gc.isenabled())
-        return first_rows(records)
+        return regressions(box, records)
 
-    monkeypatch.setattr(cli, "first_rows", checked)
+    monkeypatch.setattr(cli, "_regressions", checked)
     (gc.enable if enabled else gc.disable)()
     try:
         assert main(["report", str(log)]) == 0
@@ -170,11 +172,18 @@ def test_report_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
 
 
 def test_run_collapses_the_log_once(tmp_path, monkeypatch):
-    first_rows, collapsed, read = cli.first_rows, [], {}
+    # Cells build the log one entry per problem, so nothing collapses rows
+    # again, and every summary reads the log that run_study returned.
+    entries, run_study, collapsed, read, ran = (experiment._entries, cli.run_study,
+                                                [], {}, [])
 
-    def checked(records):
-        collapsed.append(first_rows(records))
+    def collapsing(records, pairs):
+        collapsed.append(entries(records, pairs))
         return collapsed[-1]
+
+    def running(config):
+        ran.append(run_study(config))
+        return ran[-1]
 
     def reading(name):
         original = getattr(cli, name)
@@ -184,12 +193,13 @@ def test_run_collapses_the_log_once(tmp_path, monkeypatch):
             return original(records)
         return wrapped
 
-    monkeypatch.setattr(cli, "first_rows", checked)
+    monkeypatch.setattr(experiment, "_entries", collapsing)
+    monkeypatch.setattr(cli, "run_study", running)
     for name in ("learning_curve", "fit_logistic", "posttest_effect"):
         monkeypatch.setattr(cli, name, reading(name))
     out = run_dir(tmp_path)
-    assert len(collapsed) == 1
-    assert all(records is collapsed[0] for records in read.values())
+    assert collapsed == [] and len(ran) == 1
+    assert all(records is ran[0] for records in read.values())
     assert set(read) == {"learning_curve", "fit_logistic", "posttest_effect"}
     # The outputs are those of the whole log.
     monkeypatch.undo()
@@ -316,6 +326,31 @@ def test_report_on_a_log_with_an_empty_phase_is_not_estimable(tmp_path, capsys,
     printed = capsys.readouterr().out
     assert (f"{empty_model} regression:\n"
             "not estimable: no problem outcomes to fit") in printed
+
+
+def _unconverged_fit(records):
+    """A fit that stops at MAX_ITER short of the separation bound: design rows
+    (x, b, y, count) whose coefficients drift near 14 with SEs near 10**5."""
+    cells = [(1, 0, 1, 1), (2, 0, 1, 2), (0, 1, 0, 5), (2, 0, 1, 1),
+             (2, 1, 1, 2), (2, 0, 1, 5), (0, 1, 1, 6), (0, 1, 1, 3)]
+    fit = fit_logit([(1, x, b) for x, b, _y, _n in cells], [y for *_, y, _n in cells],
+                    ["Intercept", "x", "b"], weights=[n for *_, n in cells])
+    assert not fit.converged and fit.n_iterations == MAX_ITER
+    return fit
+
+
+def test_a_fit_that_does_not_converge_is_not_estimable(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "fit_logistic", _unconverged_fit)
+    out = run_dir(tmp_path)
+    message = f"not estimable: no convergence in {MAX_ITER} iterations"
+    regression = (out / "regression.txt").read_text()
+    assert regression.startswith(f"== tutor ==\n{message}\n\n== posttest ==\n")
+    assert not any(line.startswith("tutor,")
+                   for line in (out / "regression.csv").read_text().splitlines())
+    capsys.readouterr()
+    assert main(["report", str(out / "transactions.csv")]) == 0
+    assert f"\ntutor regression:\n{message}\n" in capsys.readouterr().out
 
 
 def _bad_input(tmp_path, case):

@@ -261,11 +261,35 @@ def test_malformed_problem_sets_are_rejected_up_front(monkeypatch, reshape):
 
 
 def test_cells_hand_back_plain_rows():
+    # A cell's log holds plain tuples: one per problem, and a plain
+    # (step_id, outcome) tuple per row.
     cfg = box_arrows_config(n_agents=2, replications=1, seed=3)
-    rows = experiment.run_agent(cfg, 0, 1)
-    assert rows and all(type(r) is tuple for r in rows)
-    assert all(len(r) == len(COLUMNS) for r in rows)
+    log = experiment.run_agent(cfg, 0, 1)
+    assert log and all(type(e) is tuple and len(e) == 9 for e in log.entries)
+    assert all(type(pair) is tuple and len(pair) == 2
+               for entry in log.entries for pair in entry[8])
     assert b"TrialRecord" not in pickle.dumps(experiment._worker((cfg, 0, 1, None)))
+
+
+def test_len_counts_the_rows_that_bench_reads(tmp_path):
+    # The benchmark's row counts (cell.rows_mean, rows_written, rows_read and
+    # the harness's row checks) are len() of what these return.
+    cfg = box_arrows_config(n_agents=2, replications=2, seed=3)
+    cells = [experiment.run_agent(cfg, rep, idx) for rep in range(2)
+             for idx in range(2)]
+    assert [len(cell) for cell in cells] == [len(list(cell)) for cell in cells]
+    log = run_study(cfg)
+    assert len(log) == len(list(log)) == sum(map(len, cells))
+    path = tmp_path / "transactions.csv"
+    write_transactions(path, log)
+    assert len(path.read_bytes().splitlines()) == 1 + len(log)
+    assert len(read_transactions(path)) == len(log)
+    # A cell's log survives pickling unchanged, without TrialRecord.
+    for cell in cells:
+        blob = pickle.dumps(cell)
+        assert b"TrialRecord" not in blob
+        copy = pickle.loads(blob)
+        assert copy.entries == cell.entries and len(copy) == len(cell)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -275,6 +299,8 @@ def test_run_study_builds_records_in_cell_order(jobs):
     assert all(type(r) is TrialRecord for r in records)
     assert records == [row for rep in range(2) for idx in range(2)
                        for row in experiment.run_agent(cfg, rep, idx)]
+    assert records.entries == [entry for rep in range(2) for idx in range(2)
+                               for entry in experiment.run_agent(cfg, rep, idx).entries]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -372,7 +398,8 @@ def test_records_read_together_share_one_object_per_distinct_string(
 
 def test_read_transactions_keeps_few_bytes_per_row(tmp_path, small_fraction_log):
     # About 550 bytes per row when every row holds its own seven strings,
-    # about 150 when records share them.
+    # about 150 when records share them, and about 61 in one entry per
+    # problem with interned (step_id, outcome) pairs.
     path = tmp_path / "transactions.csv"
     write_transactions(path, small_fraction_log)
     tracemalloc.start()
@@ -382,7 +409,7 @@ def test_read_transactions_keeps_few_bytes_per_row(tmp_path, small_fraction_log)
     finally:
         tracemalloc.stop()
     assert records == small_fraction_log
-    assert kept / len(records) < 300
+    assert kept / len(records) < 70
 
 
 # Any text a CSV file can hold; lone surrogates cannot be encoded.
@@ -433,9 +460,10 @@ _QUOTED = TrialRecord('a"1', 0, "", "tutor", "p", "t", 0, "s\n", "ERROR", False)
 @example(plain=[_QUOTED._replace(agent_id="a", step_id="s")],
          quoted=[(_CHUNK + 3, _QUOTED)], tail=1)
 def test_writer_matches_csv_writer_byte_for_byte(log_path, plain, quoted, tail):
-    # Several chunks and a short tail; a few rows may need quoting.
-    n = 3 * _CHUNK + tail
-    log = (plain * n)[:n]
+    # Several chunks of entries and a short tail; a few rows may need
+    # quoting.  Each opportunity holds two rows, so an entry holds one or two.
+    n = 6 * _CHUNK + tail
+    log = [rec._replace(opportunity=i // 2) for i, rec in enumerate((plain * n)[:n])]
     for position, record in quoted:
         log[position % n] = record
     reference = log_path.with_name("reference.csv")
@@ -542,6 +570,40 @@ def test_reader_matches_csv_reader(log_path, plain, quirks, defect, tail):
 def _problem_rows(problem, opportunity, n):
     return [TrialRecord("a0", 0, "blocked", "tutor", problem, "add_same",
                         opportunity, f"s{i}", "CORRECT", True) for i in range(n)]
+
+
+# Runs of a problem's rows: a problem's key fields, and how many rows it logs
+# there.  Few problems, so a problem recurs after another's rows, and counts up
+# to past a chunk, so a run can cross a chunk boundary.
+_problem = st.builds(TrialRecord, agent_id=st.sampled_from(("a0", "a1")),
+                     replication=st.just(0), condition=st.just("blocked"),
+                     phase=st.just("tutor"), problem_id=st.sampled_from(("p0", "p1")),
+                     problem_type=st.just("add_same"), opportunity=st.integers(0, 1),
+                     step_id=st.just(""), outcome=st.just("CORRECT"),
+                     problem_correct=st.booleans())
+_P0 = TrialRecord("a0", 0, "blocked", "tutor", "p0", "add_same", 0, "", "CORRECT", True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(st.tuples(_problem, st.integers(1, _READ + 8)), max_size=4))
+@example(runs=[(_P0, 3), (_P0._replace(problem_id="p1"), 2), (_P0, 4)])  # p0 resumes
+@example(runs=[(_P0, 3), (_P0._replace(problem_correct=False), 2)])
+@example(runs=[(_P0, _READ - 3), (_P0._replace(problem_id="p1"), 7)])
+def test_rows_round_trip_through_a_log(log_path, runs):
+    # Each run's rows take step ids and outcomes in turn.
+    rows = [rec._replace(step_id=f"s{i % 3}", outcome=("CORRECT", "ERROR")[i % 2])
+            for rec, n in runs for i in range(n)]
+    log = experiment.TransactionLog.of(rows)
+    assert list(log) == rows and len(log) == len(rows)
+    assert all(type(r) is TrialRecord for r in log)
+    # One entry per run of rows with equal keys, and one object per equal pair.
+    keys = [r[:7] + r[9:] for r in rows]
+    assert len(log.entries) == sum(a != b for a, b in zip(keys, [None] + keys))
+    pairs = [pair for entry in log.entries for pair in entry[8]]
+    assert len(set(map(id, pairs))) == len(set(pairs))
+    # A log read back holds the same entries, whatever chunks split its runs.
+    write_transactions(log_path, rows)
+    assert read_transactions(log_path).entries == log.entries
 
 
 def test_a_problem_straddling_a_chunk_boundary_is_read_whole(tmp_path):
