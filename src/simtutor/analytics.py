@@ -89,27 +89,30 @@ class RegressionSummary:
         return "\n".join(lines)
 
 
-@collector_paused()
 def problem_outcomes(records, phase: str = "tutor"):
-    """One outcome per problem of a log or of its rows, with phase positions.
-    Entries collapse by key, contiguous or not, and a key's first entry (that
-    is, its first row) wins."""
-    seen = set()
-    out = []
-    positions: dict = {}
+    """One outcome per problem of a log or its rows, from its first entry,
+    contiguous or not.  Kept per log object and phase; each call returns a new list."""
+    log = TransactionLog.of(records)
+    if phase not in log.outcomes:
+        log.outcomes[phase] = _outcomes(log, phase)
+    return list(log.outcomes[phase])
+
+
+@collector_paused()
+def _outcomes(log, phase):
+    out, sets, rep, agent = [], {}, None, None
     for (agent_id, replication, condition, rec_phase, problem_id, problem_type,
-         opportunity, correct, _steps) in TransactionLog.of(records).entries:
+         opportunity, correct, _steps) in log.entries:
         if rec_phase != phase:
             continue
-        key = (replication, agent_id, problem_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        agent_key = (replication, agent_id)
-        position = positions[agent_key] = positions.get(agent_key, 0) + 1
-        out.append(tuple.__new__(ProblemOutcome, (
-            replication, agent_id, condition, problem_type, opportunity,
-            position, correct)))
+        if agent_id != agent or replication != rep:
+            rep, agent = replication, agent_id
+            seen = sets.setdefault((rep, agent), set())  # a position is its size
+        if problem_id not in seen:
+            seen.add(problem_id)
+            out.append(tuple.__new__(ProblemOutcome, (
+                replication, agent_id, condition, problem_type, opportunity,
+                len(seen), correct)))
     return out
 
 
@@ -124,10 +127,9 @@ def learning_curve(records):
     problems = problem_outcomes(records, "tutor")
     if not problems:
         raise ConfigError("no 'tutor' rows in the log")
-    counts, errors = Counter(), Counter()
-    for p in problems:
-        counts[p.condition, p.position] += 1
-        errors[p.condition, p.position] += not p.correct
+    key = itemgetter(2, 5)  # condition, position
+    counts = Counter(map(key, problems))
+    errors = counts - Counter(map(key, filter(itemgetter(6), problems)))  # correct
     points = []
     for (condition, position), n in sorted(counts.items()):
         mean = errors[condition, position] / n
@@ -322,8 +324,7 @@ def hard_problem_effect(records):
 
 
 def accuracy_by_condition(records, phase: str = "tutor"):
-    totals, good = Counter(), Counter()
-    for p in problem_outcomes(records, phase):
-        totals[p.condition] += 1
-        good[p.condition] += p.correct
+    problems = problem_outcomes(records, phase)
+    totals = Counter(map(itemgetter(2), problems))  # condition
+    good = Counter(map(itemgetter(2), filter(itemgetter(6), problems)))  # correct
     return {cond: good[cond] / count for cond, count in sorted(totals.items())}

@@ -202,9 +202,10 @@ def _cmd_report(args):
     is_box = any(entry[5].startswith("box_")  # problem_type
                  for entry in records.entries)
     print(f"log: {args.log} ({len(records)} rows)")
-    if is_box:
+    if is_box:  # every box summary scores the hard problems: filter once
+        records = filter_hard(records)
         print("hard-problem accuracy by condition:")
-        for cond, acc in accuracy_by_condition(filter_hard(records)).items():
+        for cond, acc in accuracy_by_condition(records).items():
             print(f"  {cond:15s} {acc:.3f}")
     else:
         for phase in ("tutor", "posttest"):

@@ -95,11 +95,18 @@ class TransactionLog:
     ``TrialRecord`` per row in log order, and a log equals any sequence of
     the same rows."""
 
-    __slots__ = ("entries", "_rows")
+    __slots__ = ("entries", "_rows", "outcomes")
 
     def __init__(self, entries):
         self.entries = list(entries)
         self._rows = sum(len(entry[8]) for entry in self.entries)
+        self.outcomes = {}  # phase -> its problem_outcomes, never pickled
+
+    def __getstate__(self):  # the slots' state, less the memo
+        return None, {"entries": self.entries, "_rows": self._rows}
+
+    def __setstate__(self, state):
+        self.__init__(state[1]["entries"])
 
     @classmethod
     def of(cls, records):
@@ -416,9 +423,10 @@ def dump_problem_sets(config: ExperimentConfig):
 
 
 def filter_hard(records):
-    """Scoring restriction for the box study: hard problems only."""
-    return TransactionLog(entry for entry in TransactionLog.of(records).entries
-                          if entry[5] == "box_hard")  # problem_type
+    """Box study scoring: the log of hard problems, ``records`` itself if only those."""
+    log = TransactionLog.of(records)
+    hard = [entry for entry in log.entries if entry[5] == "box_hard"]  # problem_type
+    return log if len(hard) == len(log.entries) else TransactionLog(hard)
 
 
 def _lines(entry):

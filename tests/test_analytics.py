@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import re
 from unittest import mock
@@ -32,8 +33,10 @@ from simtutor.analytics import (
 from simtutor.experiment import (
     TransactionLog,
     TrialRecord,
+    box_arrows_config,
     filter_hard,
     fractions_config,
+    run_agent,
     run_study,
 )
 from simtutor.state import ConfigError
@@ -202,6 +205,76 @@ def test_first_rows_give_every_summary_the_whole_log(rows, grouped):
         assert problem_outcomes(filter_hard(first), phase) == \
             problem_outcomes(filter_hard(rows), phase)
     assert {r.problem_type for r in first} == {r.problem_type for r in rows}
+
+
+# -- the outcome memo ------------------------------------------------------------
+
+def _two_phase_rows():
+    # a0 and a1 alternate, so a0's problem ids are fetched back after a1's.
+    return [record("a0", "p0", True),
+            record("a1", "p0", False, condition="interleaved"),
+            record("a0", "p1", False), record("a0", "p0", False),
+            record("a0", "q0", True, phase="posttest"),
+            record("a1", "q0", False, phase="posttest", condition="interleaved")]
+
+
+def test_outcomes_are_built_once_per_log_and_phase(outcome_builds):
+    log = TransactionLog.of(_two_phase_rows())
+    tutor = problem_outcomes(log, "tutor")
+    assert [(p.agent_id, p.position, p.correct) for p in tutor] == \
+        [("a0", 1, True), ("a1", 1, False), ("a0", 2, False)]
+    assert tutor == reference_problem_outcomes(_two_phase_rows(), "tutor")
+    learning_curve(log)
+    accuracy_by_condition(log)
+    accuracy_by_condition(log, "posttest")
+    assert problem_outcomes(log, "posttest") == \
+        reference_problem_outcomes(_two_phase_rows(), "posttest")
+    assert problem_outcomes(log, "tutor") == tutor
+    assert [phase for phase, _log in outcome_builds] == ["tutor", "posttest"]
+    assert all(built is log for _phase, built in outcome_builds)
+    # A list of rows becomes a new log on every call, so nothing is kept.
+    rows = _two_phase_rows()
+    assert problem_outcomes(rows) == problem_outcomes(rows) == tutor
+    assert len(outcome_builds) == 4
+
+
+def test_each_call_returns_a_new_list():
+    log = TransactionLog.of(_two_phase_rows())
+    first = problem_outcomes(log)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    second = problem_outcomes(log)
+    assert second == expected and second is not first
+    assert problem_outcomes(log) is not second
+
+
+def test_the_memo_never_crosses_a_pickle():
+    log = TransactionLog.of(_two_phase_rows())
+    blob = pickle.dumps(log)
+    tutor = problem_outcomes(log, "tutor")
+    assert pickle.dumps(log) == blob
+    copy = pickle.loads(blob)
+    assert copy.outcomes == {} and copy.entries == log.entries
+    assert len(copy) == len(log)
+    assert problem_outcomes(copy, "tutor") == tutor
+    # A cell's log after a summary still pickles as its plain entries alone.
+    cell = run_agent(box_arrows_config(n_agents=2, replications=1, seed=3), 0, 1)
+    blob = pickle.dumps(cell)
+    assert learning_curve(cell) and cell.outcomes
+    assert pickle.dumps(cell) == blob
+    assert b"TrialRecord" not in blob and b"ProblemOutcome" not in blob
+
+
+def test_filter_hard_returns_a_log_of_hard_problems_as_it_is():
+    rows = [record("a0", "p0", True, ptype="box_hard"),
+            record("a0", "p1", False, ptype="box_easy")]
+    log = TransactionLog.of(rows)
+    hard = filter_hard(log)
+    assert hard is not log and hard == rows[:1]
+    assert filter_hard(hard) is hard
+    empty = TransactionLog([])
+    assert filter_hard(empty) is empty
 
 
 # -- regression engine -----------------------------------------------------------

@@ -216,6 +216,59 @@ def test_run_collapses_the_log_once(tmp_path, monkeypatch):
     assert (out / "regression.txt").read_text() == "\n".join(expected)
 
 
+def test_run_builds_each_phase_once(tmp_path, outcome_builds):
+    # The curve and the tutor model share one build of the log run_study gave.
+    run_dir(tmp_path)
+    assert [phase for phase, _log in outcome_builds] == ["tutor", "posttest"]
+    assert outcome_builds[0][1] is outcome_builds[1][1]
+
+
+def test_report_builds_each_phase_once(tmp_path, monkeypatch, capsys, outcome_builds):
+    log = run_dir(tmp_path) / "transactions.csv"
+    del outcome_builds[:]
+    read, original = [], cli.read_transactions
+    monkeypatch.setattr(cli, "read_transactions",
+                        lambda path: read.append(original(path)) or read[-1])
+    assert main(["report", str(log)]) == 0
+    assert [phase for phase, _log in outcome_builds] == ["tutor", "posttest"]
+    assert all(built is read[0] for _phase, built in outcome_builds)
+    # A later curve of the same log, as a caller writing curves.csv makes it,
+    # builds nothing.
+    learning_curve(read[0])
+    assert len(outcome_builds) == 2
+
+
+# The report of a 4-agent box run at seed 2, as every summary gave it when
+# each collapsed and filtered the log for itself.
+BOX_REPORT = f"""\
+log: <log> (367 rows)
+hard-problem accuracy by condition:
+  constrained     0.219
+  unconstrained   0.031
+
+hard_problems regression:
+term                      OR [95% CI]            p
+Intercept                 0.14 [0.02, 0.76]     0.0229*
+condition[unconstrained]  0.11 [0.01, 0.98]     0.0480*
+count                     1.09 [0.92, 1.30]     0.3119{' '}
+n = 64, logLik = -20.73, Tjur R2 = 0.110
+"""
+
+
+def test_box_report_collapses_the_hard_log_once(tmp_path, capsys, outcome_builds):
+    out = tmp_path / "box"
+    assert main(["run", "box-arrows", "--agents", "4", "--replications", "1",
+                 "--seed", "2", "--out", str(out)]) == 0
+    del outcome_builds[:]
+    capsys.readouterr()
+    log = out / "transactions.csv"
+    assert main(["report", str(log)]) == 0
+    assert capsys.readouterr().out.replace(str(log), "<log>") == BOX_REPORT
+    # The accuracy table and the model read one build of one filtered log.
+    assert [phase for phase, _log in outcome_builds] == ["tutor"]
+    assert {entry[5] for entry in outcome_builds[0][1].entries} == {"box_hard"}
+
+
 def test_env_var_sets_the_default_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("SIMTUTOR_OUT", str(tmp_path / "root"))
     assert main(["run", "fractions", "--agents", "2", "--replications", "1",
