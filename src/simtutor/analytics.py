@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .experiment import CONDITIONS, TransactionLog, collector_paused, filter_hard
+from .experiment import CONDITIONS, TransactionLog, filter_hard
 from .state import ConfigError
 
 TYPE_REFERENCE = "add_diff"
@@ -98,7 +98,6 @@ def problem_outcomes(records, phase: str = "tutor"):
     return list(log.outcomes[phase])
 
 
-@collector_paused()
 def _outcomes(log, phase):
     out, sets, rep, agent = [], {}, None, None
     for (agent_id, replication, condition, rec_phase, problem_id, problem_type,

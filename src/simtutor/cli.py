@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import random
@@ -27,7 +28,6 @@ from .analytics import (
 )
 from .experiment import (
     box_arrows_config,
-    collector_paused,
     filter_hard,
     fractions_config,
     read_transactions,
@@ -150,6 +150,13 @@ def _regressions(box, records):
     return out
 
 
+def _model_text(summary):
+    """A fitted model's table, or the ``not estimable`` line of an unfit one."""
+    if isinstance(summary, Exception):
+        return f"not estimable: {summary}"
+    return summary.table()
+
+
 def _cmd_run(args):
     config = _resolve_config(args)
     out = args.out or _default_out(config.study, config.seed)
@@ -162,18 +169,15 @@ def _cmd_run(args):
     _write_csv(out / "curves.csv", curve_rows(learning_curve(records)))
 
     summaries = _regressions(config.study == "box_arrows", records)
-    text_parts, reg_rows = [], [("model", "term", "odds_ratio", "ci_low",
-                                 "ci_high", "p_value")]
-    for model, summary in summaries.items():
-        if isinstance(summary, Exception):
-            text_parts.append(f"== {model} ==\nnot estimable: {summary}\n")
-            continue
-        text_parts.append(f"== {model} ==\n{summary.table()}\n")
-        for term, est in summary.terms.items():
-            reg_rows.append((model, term, f"{est.odds_ratio:.6f}",
-                             f"{est.ci_low:.6f}", f"{est.ci_high:.6f}",
-                             f"{est.p_value:.6g}"))
-    (out / "regression.txt").write_text("\n".join(text_parts))
+    (out / "regression.txt").write_text("\n".join(
+        f"== {model} ==\n{_model_text(summary)}\n"
+        for model, summary in summaries.items()))
+    reg_rows = [("model", "term", "odds_ratio", "ci_low", "ci_high", "p_value")]
+    reg_rows += [(model, term, f"{est.odds_ratio:.6f}", f"{est.ci_low:.6f}",
+                  f"{est.ci_high:.6f}", f"{est.p_value:.6g}")
+                 for model, summary in summaries.items()
+                 if not isinstance(summary, Exception)
+                 for term, est in summary.terms.items()]
     _write_csv(out / "regression.csv", reg_rows)
     marks.append(time.perf_counter())
 
@@ -194,7 +198,6 @@ def _cmd_run(args):
     return 0
 
 
-@collector_paused()
 def _cmd_report(args):
     records = read_transactions(args.log)
     if not records:
@@ -213,11 +216,7 @@ def _cmd_report(args):
             for cond, acc in accuracy_by_condition(records, phase).items():
                 print(f"  {cond:15s} {acc:.3f}")
     for model, summary in _regressions(is_box, records).items():
-        print(f"\n{model} regression:")
-        if isinstance(summary, Exception):
-            print(f"not estimable: {summary}")
-        else:
-            print(summary.table())
+        print(f"\n{model} regression:\n{_model_text(summary)}")
     return 0
 
 
@@ -245,7 +244,14 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "report":
-            return _cmd_report(args)
+            # The log holds no reference cycle: a collection would only walk it.
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                return _cmd_report(args)
+            finally:
+                if enabled:
+                    gc.enable()
         return _cmd_gen_problems(args)
     except ConfigError as exc:
         print(f"simtutor: config error: {exc}", file=sys.stderr)

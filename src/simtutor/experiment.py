@@ -9,11 +9,9 @@ problem) order, making output independent of scheduling.
 from __future__ import annotations
 
 import csv
-import gc
 import multiprocessing
 import random
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, groupby, islice, repeat
 from operator import eq, itemgetter
@@ -215,19 +213,6 @@ def _plain_entries(lines, texts, numbers, pairs):
     runs = groupby(zip(prefixes, flags, row_pairs), itemgetter(0, 1))
     return [(*heads[prefix], flag == "1\r\n", tuple(map(itemgetter(2), run)))
             for (prefix, flag), run in runs]
-
-
-@contextmanager
-def collector_paused():
-    """Pause the cyclic garbage collector, then restore its state; also a decorator.
-    Log entries hold no reference cycle, so a collection would only walk them."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -456,7 +441,6 @@ def write_transactions(path, records):
                 writer.writerows(rec.as_row() for rec in chunk)
 
 
-@collector_paused()
 def read_transactions(path):
     """Parse and check a whole log into a ``TransactionLog``, ``READ_CHUNK``
     lines at a time; from the first chunk ``_plain_entries`` declines on,

@@ -152,12 +152,18 @@ def test_report_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
     log = run_dir(tmp_path) / "transactions.csv"
     bad = tmp_path / "bad.csv"
     bad.write_bytes(log.read_bytes().replace(b"CORRECT", b"RIGHT", 1))
-    regressions, seen = cli._regressions, []
+    read, regressions, seen = cli.read_transactions, cli._regressions, []
+
+    def checked_read(path):
+        records = read(path)
+        seen.append(gc.isenabled())
+        return records
 
     def checked(box, records):
         seen.append(gc.isenabled())
         return regressions(box, records)
 
+    monkeypatch.setattr(cli, "read_transactions", checked_read)
     monkeypatch.setattr(cli, "_regressions", checked)
     (gc.enable if enabled else gc.disable)()
     try:
@@ -167,7 +173,7 @@ def test_report_pauses_and_restores_the_collector(tmp_path, capsys, monkeypatch,
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
-    assert seen == [False]
+    assert seen == [False, False]
     assert "unknown outcome 'RIGHT'" in capsys.readouterr().err
 
 

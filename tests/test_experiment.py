@@ -648,12 +648,33 @@ def test_a_wrong_header_is_named_as_such(tmp_path, header):
     assert str(err.value) == f"unexpected transaction header in {path}"
 
 
+class _RecordingEntries(list):
+    """Entries that note the collector's state each time they are iterated."""
+
+    def __init__(self, entries, seen):
+        super().__init__(entries)
+        self.seen = seen
+
+    def __iter__(self):
+        self.seen.append(gc.isenabled())
+        return super().__iter__()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-def test_building_records_restores_the_collector(tmp_path, small_fraction_log,
-                                                 enabled):
+def test_library_calls_leave_the_collector_as_the_caller_set_it(
+        tmp_path, monkeypatch, small_fraction_log, enabled):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     write_transactions(good, small_fraction_log)
     bad.write_text(good.read_text().replace("CORRECT", "RIGHT", 1))
+    plain_entries, reads, builds = experiment._plain_entries, [], []
+
+    def checked(*args):
+        reads.append(gc.isenabled())
+        return plain_entries(*args)
+
+    monkeypatch.setattr(experiment, "_plain_entries", checked)
+    log = experiment.TransactionLog(())
+    log.entries = _RecordingEntries(small_fraction_log.entries, builds)
     (gc.enable if enabled else gc.disable)()
     try:
         assert read_transactions(good) == small_fraction_log
@@ -661,10 +682,12 @@ def test_building_records_restores_the_collector(tmp_path, small_fraction_log,
         with pytest.raises(ConfigError, match="unknown outcome 'RIGHT'"):
             read_transactions(bad)
         assert gc.isenabled() is enabled
-        assert problem_outcomes(small_fraction_log)
+        assert problem_outcomes(log) == problem_outcomes(small_fraction_log)
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+    assert reads and set(reads) == {enabled}
+    assert builds == [enabled]
 
 
 def test_cells_run_with_the_collector_on(monkeypatch):
