@@ -207,14 +207,10 @@ def _cmd_report(args):
     print(f"log: {args.log} ({len(records)} rows)")
     if is_box:  # every box summary scores the hard problems: filter once
         records = filter_hard(records)
-        print("hard-problem accuracy by condition:")
-        for cond, acc in accuracy_by_condition(records).items():
+    for phase in ("tutor",) if is_box else ("tutor", "posttest"):
+        print(f"{'hard-problem' if is_box else phase} accuracy by condition:")
+        for cond, acc in accuracy_by_condition(records, phase).items():
             print(f"  {cond:15s} {acc:.3f}")
-    else:
-        for phase in ("tutor", "posttest"):
-            print(f"{phase} accuracy by condition:")
-            for cond, acc in accuracy_by_condition(records, phase).items():
-                print(f"  {cond:15s} {acc:.3f}")
     for model, summary in _regressions(is_box, records).items():
         print(f"\n{model} regression:\n{_model_text(summary)}")
     return 0

@@ -100,11 +100,8 @@ class TransactionLog:
         self._rows = sum(len(entry[8]) for entry in self.entries)
         self.outcomes = {}  # phase -> its problem_outcomes, never pickled
 
-    def __getstate__(self):  # the slots' state, less the memo
-        return None, {"entries": self.entries, "_rows": self._rows}
-
-    def __setstate__(self, state):
-        self.__init__(state[1]["entries"])
+    def __reduce__(self):  # the entries alone: no memo, no row count
+        return TransactionLog, (self.entries,)
 
     @classmethod
     def of(cls, records):
@@ -224,7 +221,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self):
-        if self.study not in ("fractions", "box_arrows"):
+        if self.study not in CONDITIONS:
             raise ConfigError(f"unknown study {self.study!r}")
         if self.n_agents < 1:
             raise ConfigError("n_agents must be at least 1")
@@ -257,7 +254,7 @@ def sequence_fractions(condition: str, rng, id_prefix: str = "p"):
     then multiplication, shuffled within block, so the type transitions fall
     at positions 11 and 25.  Interleaved: one uniform shuffle of all 48.
     """
-    if condition not in ("blocked", "interleaved"):
+    if condition not in CONDITIONS["fractions"]:
         raise ConfigError(f"unknown fractions condition {condition!r}")
     items = []
     for ptype in ("add_same", "add_diff", "multiply"):

@@ -70,6 +70,11 @@ def divide(left, right):
     return left / right
 
 
+def _quotient(left, right):
+    """``divide``, or None for a zero divisor."""
+    return None if right == 0 else divide(left, right)
+
+
 def compile_procedure(expr):
     """``expr`` as a closure over role -> exact number.
 
@@ -85,23 +90,15 @@ def compile_procedure(expr):
         constant = expr.value
         return lambda values: constant
     left, right = compile_procedure(expr.left), compile_procedure(expr.right)
-    arith = _ARITH.get(expr.op)
-    if arith is not None:
-        def call(values):
-            a = left(values)
-            if a is None:
-                return None
-            b = right(values)
-            return None if b is None else arith(a, b)
-        return call
+    arith = _ARITH.get(expr.op, _quotient)
 
-    def quotient(values):
+    def call(values):
         a = left(values)
         if a is None:
             return None
         b = right(values)
-        return None if b is None or b == 0 else divide(a, b)
-    return quotient
+        return None if b is None else arith(a, b)
+    return call
 
 
 def depth(expr) -> int:
@@ -126,30 +123,34 @@ def sexpr(expr) -> str:
     return f"({expr.op} {sexpr(expr.left)} {sexpr(expr.right)})"
 
 
+def _calls(levels, d):
+    """``(op index, arithmetic function or None for divide, left entry, right
+    entry)`` for each exact-depth-d call over disjoint leaves, by operator,
+    operand depths, left, then right; commutative operands in one order only."""
+    pairs = [(i, j) for i in range(d) for j in range(d) if max(i, j) == d - 1]
+    for opi, op in enumerate(OPS):
+        arith = _ARITH.get(op)
+        commutative = op in COMMUTATIVE
+        for dl, dr in pairs:
+            for left in levels[dl]:
+                lk, lu = left[0], left[1]
+                for right in levels[dr]:
+                    if not (lu & right[1] or (commutative and lk > right[0])):
+                        yield opi, arith, left, right
+
+
 def _compose_level(levels, d):
-    """All exact-depth-d trees over disjoint leaves, deterministically ordered.
+    """All exact-depth-d trees over disjoint leaves, in ``_calls`` order.
 
     An entry is ``(key, used, value)``.  ``key`` spells the tree, ``(0, i)``
     for leaf ``i`` and ``(1, op index, left key, right key)`` for a call, and
     orders commutative operands; ``used`` is the bitmask of its leaves.
     """
     out = []
-    pairs = [(i, j) for i in range(d) for j in range(d) if max(i, j) == d - 1]
-    for opi, op in enumerate(OPS):
-        arith = _ARITH.get(op)
-        commutative = op in COMMUTATIVE
-        for dl, dr in pairs:
-            for lk, lu, lv in levels[dl]:
-                for rk, ru, rv in levels[dr]:
-                    if lu & ru or (commutative and lk > rk):
-                        continue
-                    if arith is not None:
-                        v = arith(lv, rv)
-                    elif rv == 0:
-                        continue
-                    else:
-                        v = divide(lv, rv)
-                    out.append(((1, opi, lk, rk), lu | ru, v))
+    for opi, arith, (lk, lu, lv), (rk, ru, rv) in _calls(levels, d):
+        v = (arith or _quotient)(lv, rv)
+        if v is not None:  # not a zero divisor
+            out.append(((1, opi, lk, rk), lu | ru, v))
     return out
 
 
@@ -162,21 +163,9 @@ def _matching_keys(levels, d, target):
     the scan builds no ``Fraction``.
     """
     out = []
-    pairs = [(i, j) for i in range(d) for j in range(d) if max(i, j) == d - 1]
-    for opi, op in enumerate(OPS):
-        arith = _ARITH.get(op)
-        commutative = op in COMMUTATIVE
-        for dl, dr in pairs:
-            for lk, lu, lv in levels[dl]:
-                for rk, ru, rv in levels[dr]:
-                    if lu & ru or (commutative and lk > rk):
-                        continue
-                    if arith is not None:
-                        if arith(lv, rv) != target:
-                            continue
-                    elif rv == 0 or lv != target * rv:
-                        continue
-                    out.append((1, opi, lk, rk))
+    for opi, arith, (lk, _lu, lv), (rk, _ru, rv) in _calls(levels, d):
+        if arith(lv, rv) == target if arith else rv != 0 and lv == target * rv:
+            out.append((1, opi, lk, rk))
     return out
 
 

@@ -248,16 +248,11 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
     op = "x" if problem_type == "multiply" else "+"
     givens = {"num1": n1, "den1": d1, "op": op, "num2": n2, "den2": d2}
 
-    if problem_type == "add_same":
+    if problem_type != "add_diff":
+        num, den = (n1 + n2, d1) if problem_type == "add_same" else (n1 * n2, d1 * d2)
         steps = (
-            CanonicalStep("answer_num", INPUT_VALUE, str(n1 + n2)),
-            CanonicalStep("answer_den", INPUT_VALUE, str(d1)),
-            CanonicalStep("done", PRESS_DONE),
-        )
-    elif problem_type == "multiply":
-        steps = (
-            CanonicalStep("answer_num", INPUT_VALUE, str(n1 * n2)),
-            CanonicalStep("answer_den", INPUT_VALUE, str(d1 * d2)),
+            CanonicalStep("answer_num", INPUT_VALUE, str(num)),
+            CanonicalStep("answer_den", INPUT_VALUE, str(den)),
             CanonicalStep("done", PRESS_DONE),
         )
     else:  # cross multiplication is the only accepted conversion strategy

@@ -269,6 +269,11 @@ def test_cells_hand_back_plain_rows():
     assert all(type(pair) is tuple and len(pair) == 2
                for entry in log.entries for pair in entry[8])
     assert b"TrialRecord" not in pickle.dumps(experiment._worker((cfg, 0, 1, None)))
+    # A log pickles as its entries: the copy has no outcome memo to carry.
+    problem_outcomes(log)
+    copy = pickle.loads(pickle.dumps(log))
+    assert log.outcomes and copy.outcomes == {}
+    assert len(copy) == len(log) and copy.entries == log.entries
 
 
 def test_len_counts_the_rows_that_bench_reads(tmp_path):

@@ -15,6 +15,8 @@ from simtutor.induction import (
     Lit,
     Ref,
     Skill,
+    _compose_level,
+    _matching_keys,
     depth,
     explain,
     expr_roles,
@@ -185,6 +187,22 @@ def test_explain_keeps_the_materialized_order(case):
     demo = SAI("t", "input_value", str(target))
     assert (explain(wm, demo, allow_constant)
             == materialized_explain(wm, demo, MAX_DEPTH, allow_constant))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(-6, 12), min_size=2, max_size=6),
+       target=st.integers(-30, 60))
+@example(values=[0, 0, 5], target=0)    # zero divisors, repeated leaves
+@example(values=[3, 2, 10], target=15)  # only a depth-2 quotient chain
+def test_scan_keeps_the_matching_keys_of_the_build(values, target):
+    # explain returns the scan's keys in the build's order, and it stops at
+    # the first depth that matches; compare the two functions at every depth.
+    levels = [[((0, i), 1 << i, v) for i, v in enumerate(values)]]
+    for d in range(1, MAX_DEPTH + 1):
+        built = _compose_level(levels, d)
+        assert _matching_keys(levels, d, target) == [
+            key for key, _used, value in built if value == target]
+        levels.append(built)
 
 
 def test_explanations_order_commutative_operands_by_rendering():
