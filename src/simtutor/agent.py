@@ -119,11 +119,9 @@ class Agent:
 
     def __init__(self):
         self.skills: list[Skill] = []
-        self._skill_count = 0
 
     def new_skill_id(self) -> str:
-        self._skill_count += 1
-        return f"s{self._skill_count:04d}"
+        return f"s{len(self.skills) + 1:04d}"
 
     def skills_to_dicts(self):
         return [sk.to_dict() for sk in self.skills]

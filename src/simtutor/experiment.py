@@ -220,7 +220,7 @@ class ExperimentConfig:
     seed: int = 7
     jobs: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.study not in CONDITIONS:
             raise ConfigError(f"unknown study {self.study!r}")
         if self.n_agents < 1:
@@ -229,17 +229,16 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        return self
 
 
 def fractions_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(study="fractions", n_agents=78)
-    return replace(cfg, **overrides).validate()
+    return replace(cfg, **overrides)
 
 
 def box_arrows_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(study="box_arrows", n_agents=202)
-    return replace(cfg, **overrides).validate()
+    return replace(cfg, **overrides)
 
 
 def _mix(a: int, b: int) -> int:
@@ -376,7 +375,6 @@ def run_study(config: ExperimentConfig, problem_sets=None):
     ``problem_sets`` optionally maps each (replication, agent) to the script
     lists that cell runs instead of its own, as ``dump_problem_sets`` gives them.
     """
-    config.validate()
     cells = [(rep, idx) for rep in range(config.replications)
              for idx in range(config.n_agents)]
     if problem_sets is not None:
@@ -398,7 +396,6 @@ def dump_problem_sets(config: ExperimentConfig):
     """Every cell's (pretrain, training, posttest) ``ProblemScript`` lists by
     (replication, agent), as ``run_study`` generates them; to persist them, write
     each script with ``to_record`` and read it with ``ProblemScript.from_record``."""
-    config.validate()
     return {(rep, idx): _generate_sets(config, rep, idx)
             for rep in range(config.replications)
             for idx in range(config.n_agents)}

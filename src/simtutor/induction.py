@@ -63,16 +63,13 @@ class Call:
 
 
 def divide(left, right):
-    """Exact quotient; an ``int`` when two ints divide evenly.  ``right != 0``."""
+    """Exact quotient (an ``int`` when ints divide evenly), or None for a zero divisor."""
+    if right == 0:
+        return None
     if type(left) is int and type(right) is int:
         quotient, remainder = divmod(left, right)
         return quotient if remainder == 0 else Fraction(left, right)
     return left / right
-
-
-def _quotient(left, right):
-    """``divide``, or None for a zero divisor."""
-    return None if right == 0 else divide(left, right)
 
 
 def compile_procedure(expr):
@@ -90,7 +87,7 @@ def compile_procedure(expr):
         constant = expr.value
         return lambda values: constant
     left, right = compile_procedure(expr.left), compile_procedure(expr.right)
-    arith = _ARITH.get(expr.op, _quotient)
+    arith = _ARITH.get(expr.op, divide)
 
     def call(values):
         a = left(values)
@@ -123,34 +120,27 @@ def sexpr(expr) -> str:
     return f"({expr.op} {sexpr(expr.left)} {sexpr(expr.right)})"
 
 
-def _calls(levels, d):
-    """``(op index, arithmetic function or None for divide, left entry, right
-    entry)`` for each exact-depth-d call over disjoint leaves, by operator,
-    operand depths, left, then right; commutative operands in one order only."""
-    pairs = [(i, j) for i in range(d) for j in range(d) if max(i, j) == d - 1]
-    for opi, op in enumerate(OPS):
-        arith = _ARITH.get(op)
-        commutative = op in COMMUTATIVE
-        for dl, dr in pairs:
-            for left in levels[dl]:
-                lk, lu = left[0], left[1]
-                for right in levels[dr]:
-                    if not (lu & right[1] or (commutative and lk > right[0])):
-                        yield opi, arith, left, right
+def _operands(levels, d):
+    """The (left entry, right entry) pairs of an exact-depth-d call over
+    disjoint leaves, by operand depths, left, then right."""
+    return [(left, right) for dl in range(d) for dr in range(d) if max(dl, dr) == d - 1
+            for left in levels[dl] for right in levels[dr] if not left[1] & right[1]]
 
 
 def _compose_level(levels, d):
-    """All exact-depth-d trees over disjoint leaves, in ``_calls`` order.
+    """All exact-depth-d trees over disjoint leaves, by operator, then ``_operands``.
 
     An entry is ``(key, used, value)``.  ``key`` spells the tree, ``(0, i)``
     for leaf ``i`` and ``(1, op index, left key, right key)`` for a call, and
     orders commutative operands; ``used`` is the bitmask of its leaves.
     """
     out = []
-    for opi, arith, (lk, lu, lv), (rk, ru, rv) in _calls(levels, d):
-        v = (arith or _quotient)(lv, rv)
-        if v is not None:  # not a zero divisor
-            out.append(((1, opi, lk, rk), lu | ru, v))
+    operands = _operands(levels, d)
+    for opi, op in enumerate(OPS):
+        arith, commutative = _ARITH.get(op, divide), op in COMMUTATIVE
+        for (lk, lu, lv), (rk, ru, rv) in operands:
+            if not (commutative and lk > rk) and (v := arith(lv, rv)) is not None:
+                out.append(((1, opi, lk, rk), lu | ru, v))
     return out
 
 
@@ -163,9 +153,13 @@ def _matching_keys(levels, d, target):
     the scan builds no ``Fraction``.
     """
     out = []
-    for opi, arith, (lk, _lu, lv), (rk, _ru, rv) in _calls(levels, d):
-        if arith(lv, rv) == target if arith else rv != 0 and lv == target * rv:
-            out.append((1, opi, lk, rk))
+    operands = _operands(levels, d)
+    for opi, op in enumerate(OPS):
+        arith, commutative = _ARITH.get(op), op in COMMUTATIVE
+        for (lk, _lu, lv), (rk, _ru, rv) in operands:
+            if not (commutative and lk > rk) and (
+                    arith(lv, rv) == target if arith else rv != 0 and lv == target * rv):
+                out.append((1, opi, lk, rk))
     return out
 
 

@@ -83,6 +83,8 @@ def test_invalid_configs_fail_before_simulation():
         fractions_config(replications=0)
     with pytest.raises(ConfigError):
         box_arrows_config(jobs=0)
+    with pytest.raises(ConfigError):
+        replace(fractions_config(), n_agents=0)
 
 
 def test_condition_allocation_is_balanced():

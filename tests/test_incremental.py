@@ -276,4 +276,5 @@ def test_whole_quotients_stay_integers():
     assert divide(12, 4) == 3 and type(divide(12, 4)) is int
     assert divide(-7, 7) == -1 and type(divide(-7, 7)) is int
     assert divide(7, 2) == Fraction(7, 2)
+    assert divide(7, 0) is None
     assert render_value(6) == "6" and render_value(Fraction(7, 5)) == "7/5"

@@ -194,6 +194,7 @@ def test_explain_keeps_the_materialized_order(case):
        target=st.integers(-30, 60))
 @example(values=[0, 0, 5], target=0)    # zero divisors, repeated leaves
 @example(values=[3, 2, 10], target=15)  # only a depth-2 quotient chain
+@example(values=[1, 2, 3, 4], target=21)  # (multiply (add f0 f1) (add f2 f3))
 def test_scan_keeps_the_matching_keys_of_the_build(values, target):
     # explain returns the scan's keys in the build's order, and it stops at
     # the first depth that matches; compare the two functions at every depth.
