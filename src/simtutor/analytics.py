@@ -280,11 +280,11 @@ def build_design(problems, terms):
             names.append(f"type[{level}]")
             cols.append(col)
             type_dummies.append((level, col))
+    count = np.array([float(p.opportunity) for p in problems])
     if "count" in terms:
         names.append("count")
-        cols.append(np.array([float(p.opportunity) for p in problems]))
+        cols.append(count)
     if "type:count" in terms:
-        count = np.array([float(p.opportunity) for p in problems])
         for level, col in type_dummies:
             names.append(f"type[{level}]:count")
             cols.append(col * count)

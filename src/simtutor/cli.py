@@ -27,6 +27,7 @@ from .analytics import (
     posttest_effect,
 )
 from .experiment import (
+    CONDITIONS,
     box_arrows_config,
     filter_hard,
     fractions_config,
@@ -37,7 +38,7 @@ from .experiment import (
 from .state import SIMULATION_ERRORS, ConfigError
 from .tutors import gen_box_problem, gen_fraction_problem
 
-STUDY_NAMES = {"fractions": "fractions", "box-arrows": "box_arrows"}
+STUDY_CONFIGS = {"fractions": fractions_config, "box-arrows": box_arrows_config}
 CONFIG_KEYS = {"agents": "n_agents", "replications": "replications",
                "seed": "seed", "jobs": "jobs"}
 
@@ -54,23 +55,21 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a study end to end")
-    run.add_argument("study", choices=sorted(STUDY_NAMES))
+    run.add_argument("study", choices=sorted(STUDY_CONFIGS))
     run.add_argument("--config", type=Path, help="JSON config file; flags win")
-    run.add_argument("--agents", type=int)
-    run.add_argument("--replications", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=int)
+    for key in CONFIG_KEYS:
+        run.add_argument(f"--{key}", type=int)
     run.add_argument("--out", type=Path, help="output directory")
 
     report = sub.add_parser("report", help="summarize a transactions.csv")
     report.add_argument("log", type=Path)
 
     gen = sub.add_parser("gen-problems", help="emit generated items as JSON lines")
-    gen.add_argument("study", choices=sorted(STUDY_NAMES))
+    gen.add_argument("study", choices=sorted(STUDY_CONFIGS))
     gen.add_argument("--type", dest="problem_type", required=True)
     gen.add_argument("-n", "--count", type=int, default=10)
     gen.add_argument("--seed", type=int, default=7)
-    gen.add_argument("--constraint", choices=("constrained", "unconstrained"),
+    gen.add_argument("--constraint", choices=CONDITIONS["box_arrows"],
                      default="constrained")
     return parser
 
@@ -112,9 +111,7 @@ def _resolve_config(args):
         value = getattr(args, attr)
         if value is not None:
             overrides[key] = value
-    study = STUDY_NAMES[args.study]
-    factory = fractions_config if study == "fractions" else box_arrows_config
-    return factory(**overrides)
+    return STUDY_CONFIGS[args.study](**overrides)
 
 
 def _default_out(study, seed):
@@ -202,8 +199,7 @@ def _cmd_report(args):
     records = read_transactions(args.log)
     if not records:
         raise ConfigError("empty transaction log")
-    is_box = any(entry[5].startswith("box_")  # problem_type
-                 for entry in records.entries)
+    is_box = records.entries[0][2] in CONDITIONS["box_arrows"]  # condition
     print(f"log: {args.log} ({len(records)} rows)")
     if is_box:  # every box summary scores the hard problems: filter once
         records = filter_hard(records)
@@ -219,10 +215,9 @@ def _cmd_report(args):
 def _cmd_gen_problems(args):
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, not {args.count}")
-    study = STUDY_NAMES[args.study]
     rng = random.Random(args.seed)
     for i in range(args.count):
-        if study == "fractions":
+        if args.study == "fractions":
             script = gen_fraction_problem(args.problem_type, rng, f"gen-{i}")
         else:
             difficulty = {"box_easy": "easy", "box_hard": "hard"}.get(args.problem_type)

@@ -37,8 +37,6 @@ BOX_PRETRAIN_EASY = 16
 CONDITIONS = {"fractions": ("blocked", "interleaved"),
               "box_arrows": ("constrained", "unconstrained")}
 
-COLUMNS = ("agent_id", "replication", "condition", "phase", "problem_id",
-           "problem_type", "opportunity", "step_id", "outcome", "problem_correct")
 # A row's first seven fields as ``csv.writer`` writes them when none is quoted.
 _PREFIX = "%s,%s,%s,%s,%s,%s,%s,"
 # Log entries formatted, or lines decoded (ten strings each), at once: enough
@@ -49,7 +47,7 @@ _FLAGS = frozenset(("0\r\n", "1\r\n"))  # problem_correct and its line end
 
 
 class TrialRecord(NamedTuple):
-    """One per-step transaction row, in ``COLUMNS`` order."""
+    """One per-step transaction row; its field names are the log's ``COLUMNS``."""
 
     agent_id: str
     replication: int
@@ -64,6 +62,9 @@ class TrialRecord(NamedTuple):
 
     def as_row(self):
         return (*map(str, self[:9]), "1" if self.problem_correct else "0")
+
+
+COLUMNS = TrialRecord._fields
 
 
 def _entries(records, pairs):
@@ -223,12 +224,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.study not in CONDITIONS:
             raise ConfigError(f"unknown study {self.study!r}")
-        if self.n_agents < 1:
-            raise ConfigError("n_agents must be at least 1")
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+        for name in ("n_agents", "replications", "jobs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
 
 def fractions_config(**overrides) -> ExperimentConfig:
@@ -256,9 +254,9 @@ def sequence_fractions(condition: str, rng, id_prefix: str = "p"):
     if condition not in CONDITIONS["fractions"]:
         raise ConfigError(f"unknown fractions condition {condition!r}")
     items = []
-    for ptype in ("add_same", "add_diff", "multiply"):
+    for ptype, count in FRACTIONS_TRAINING.items():
         block = [gen_fraction_problem(ptype, rng, f"{id_prefix}-{ptype}-{i}")
-                 for i in range(FRACTIONS_TRAINING[ptype])]
+                 for i in range(count)]
         rng.shuffle(block)
         items += block
     if condition == "interleaved":

@@ -362,6 +362,14 @@ def test_bad_config_files_exit_one_in_one_line(tmp_path, capsys, content, messag
     assert not (tmp_path / "x").exists()
 
 
+def test_each_cli_study_name_is_a_study_with_conditions():
+    """The CLI's study names and ``CONDITIONS`` name the same studies, so
+    ``report`` can tell every study's log by its conditions."""
+    studies = {name: factory().study for name, factory in cli.STUDY_CONFIGS.items()}
+    assert set(studies.values()) == set(experiment.CONDITIONS)
+    assert all(name == study.replace("_", "-") for name, study in studies.items())
+
+
 def _write_log(path, rows):
     write_transactions(path, [TrialRecord("a000", 0, condition, "tutor", problem_id,
                                           problem_type, 0, step, outcome, False)
@@ -375,7 +383,9 @@ def _write_log(path, rows):
       ("blocked", "p0", "add_same", "done", "CORRECT")], "posttest"),
     ([("constrained", "p0", "box_easy", "r2_a", "HINT"),
       ("unconstrained", "p1", "box_easy", "r2_a", "ERROR")], "hard_problems"),
-], ids=["fractions-without-posttest", "box-without-hard-items"])
+    ([("blocked", "p0", "box_easy", "answer_num", "HINT")], "posttest"),
+], ids=["fractions-without-posttest", "box-without-hard-items",
+        "fractions-condition-with-a-box-type"])
 def test_report_on_a_log_with_an_empty_phase_is_not_estimable(tmp_path, capsys,
                                                               rows, empty_model):
     log = tmp_path / "transactions.csv"

@@ -77,13 +77,13 @@ def test_defaults_match_the_study_designs():
 
 
 def test_invalid_configs_fail_before_simulation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_agents must be at least 1$"):
         fractions_config(n_agents=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^replications must be at least 1$"):
         fractions_config(replications=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^jobs must be at least 1$"):
         box_arrows_config(jobs=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_agents must be at least 1$"):
         replace(fractions_config(), n_agents=0)
 
 
