@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .induction import Skill, induce_from_demo, refine_conditions
+from .induction import Skill, evaluate, induce_from_demo, refine_conditions
 from .state import (
     CORRECT,
     ERROR,
@@ -47,7 +47,7 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
     """
     open_roles = wm.open_roles
     preds = wm.predicates
-    values = wm.values
+    fields = wm.fields
     out = []
     for sk in skills:
         role = sk.target_role
@@ -56,8 +56,8 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
         if not sk.required <= preds:
             continue
         value = None
-        if sk.compiled is not None:
-            value = sk.compiled(values)
+        if sk.procedure is not None:
+            value = evaluate(sk.procedure, fields)
             if value is None:
                 continue
         out.append((sk, value))
@@ -89,7 +89,7 @@ def decide(wm: WorkingMemory, skills, excluded=frozenset()):
     if best is None:
         return None
     skill, value = best
-    if skill.compiled is None:
+    if skill.procedure is None:
         return Activation(skill, SAI(skill.target_role, skill.action))
     return Activation(skill, SAI(skill.target_role, INPUT_VALUE,
                                  render_value(value)))

@@ -19,7 +19,7 @@ wrong-everywhere rules die through utility competition.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .state import (
@@ -72,30 +72,20 @@ def divide(left, right):
     return left / right
 
 
-def compile_procedure(expr):
-    """``expr`` as a closure over role -> exact number.
-
-    The closure returns ``None`` when a role is unbound or a divisor is zero.
-    """
-    if isinstance(expr, Ref):
-        role = expr.role
-
-        def ref(values):
-            return values.get(role)
-        return ref
-    if isinstance(expr, Lit):
-        constant = expr.value
-        return lambda values: constant
-    left, right = compile_procedure(expr.left), compile_procedure(expr.right)
-    arith = _ARITH.get(expr.op, divide)
-
-    def call(values):
-        a = left(values)
-        if a is None:
-            return None
-        b = right(values)
-        return None if b is None else arith(a, b)
-    return call
+def evaluate(expr, fields):
+    """``expr``'s exact value over role -> ``FieldState``, or None when a role
+    is unbound or a divisor is zero.  A role binds only while its field holds
+    an ``int``."""
+    if type(expr) is Ref:
+        state = fields.get(expr.role)
+        return state.value if state is not None and type(state.value) is int else None
+    if type(expr) is Lit:
+        return expr.value
+    left = evaluate(expr.left, fields)
+    if left is None:
+        return None
+    right = evaluate(expr.right, fields)
+    return None if right is None else _ARITH.get(expr.op, divide)(left, right)
 
 
 def depth(expr) -> int:
@@ -228,14 +218,10 @@ class Skill:
     required: frozenset = frozenset()
     successes: int = 0
     attempts: int = 0
-    # Derived from ``procedure`` once: its compiled closure.
-    compiled: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.successes > self.attempts:
             raise InvariantError("successes exceed attempts")
-        if self.procedure is not None:
-            self.compiled = compile_procedure(self.procedure)
 
     def record(self, correct: bool) -> None:
         self.attempts += 1
@@ -278,11 +264,8 @@ def refine_conditions(skill: Skill, wm: WorkingMemory, correct: bool) -> Skill:
     """
     sat = wm.predicates
     if correct:
-        # Most correct steps drop nothing: keep the sets rather than copy them.
-        if not skill.conditions <= sat:
-            skill.conditions = skill.conditions & sat
-        if not skill.required <= sat:
-            skill.required = skill.required & sat
+        skill.conditions = skill.conditions & sat
+        skill.required = skill.required & sat
     else:
         skill.required = skill.required | frozenset(
             p for p in skill.conditions if p not in sat)
@@ -307,11 +290,7 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id):
     for sk in skills:
         if sk.target_role != role or sk.action != demo.action:
             continue
-        if sk.procedure is None:
-            reproduces = True
-        else:
-            reproduces = sk.compiled(wm.values) == value
-        if reproduces:
+        if sk.procedure is None or evaluate(sk.procedure, wm.fields) == value:
             sk.record(True)
             refine_conditions(sk, wm, True)
             credited = True

@@ -89,15 +89,14 @@ def _fill_literal(role, state):
 
 @cache
 def _shape(layout, kinds, editable):
-    """Fill literals, open roles, blank fields, and filled and numeric field
-    indices shared by every snapshot of ``layout`` with these value types (None
-    when empty) and editable flags; cached by shape alone, never by value."""
+    """Fill literals, open roles, blank fields and filled field indices shared
+    by every snapshot of ``layout`` with these value types (None when empty)
+    and editable flags; cached by shape alone, never by value."""
     empty = [kind is type(None) for kind in kinds]
     literals = frozenset(("empty" if e else "filled", r) for r, e in zip(layout, empty))
     open_roles = frozenset(r for r, e, ed in zip(layout, empty, editable) if e and ed)
     blank = {r: FieldState(r, None, ed) for r, ed in zip(layout, editable)}
-    filled = [i for i, e in enumerate(empty) if not e]
-    return literals, open_roles, blank, filled, [i for i in filled if kinds[i] is int]
+    return literals, open_roles, blank, [i for i, e in enumerate(empty) if not e]
 
 
 class WorkingMemory:
@@ -105,13 +104,12 @@ class WorkingMemory:
 
     ``fields`` maps each role to its ``FieldState`` in layout order.  The
     predicates are every field's filled/empty literal plus what the tutor
-    family derives (none without a family).  ``values`` maps the role of
-    every numeric field to its exact ``int`` value, and ``open_roles`` holds
-    the roles of the editable fields that are still empty.  Working memory is
+    family derives (none without a family).  ``open_roles`` holds the roles
+    of the editable fields that are still empty.  Working memory is
     never mutated: ``with_value`` derives the state after one field changes.
     """
 
-    __slots__ = ("fields", "family", "predicates", "values", "open_roles")
+    __slots__ = ("fields", "family", "predicates", "open_roles")
 
     def __init__(self, entries, family=None):
         states = {}
@@ -144,7 +142,7 @@ class WorkingMemory:
         """Set every attribute from checked (role, value, editable) triples and
         their columns over the cached shape; returns ``self``."""
         roles, values, editable = columns
-        literals, open_roles, blank, filled, numeric = _shape(
+        literals, open_roles, blank, filled = _shape(
             roles, tuple(map(type, values)), editable)
         self.fields = fields = blank.copy()
         for i in filled:  # a snapshot triple holds a FieldState's fields in order
@@ -152,7 +150,6 @@ class WorkingMemory:
         self.family = family
         self.predicates = (literals if family is None
                            else literals.union(family.derive(fields)))
-        self.values = {roles[i]: values[i] for i in numeric}
         self.open_roles = open_roles
         return self
 
@@ -186,15 +183,6 @@ class WorkingMemory:
                 family.derive(fields))
         wm.predicates = preds
         wm.open_roles = open_roles
-        values = self.values
-        numeric = type(value) is int
-        if numeric or role in values:
-            values = values.copy()
-            if numeric:
-                values[role] = value
-            else:
-                del values[role]
-        wm.values = values
         return wm
 
     def field(self, role):
@@ -204,9 +192,9 @@ class WorkingMemory:
             raise InvariantError(f"unknown field {role!r}") from None
 
     def numeric_leaves(self):
-        """(role, exact value) pairs for every numeric field, in layout order."""
-        values = self.values
-        return [(role, values[role]) for role in self.fields if role in values]
+        """(role, value) of every field that holds an ``int``, in layout order."""
+        return [(role, state.value) for role, state in self.fields.items()
+                if type(state.value) is int]
 
     def __repr__(self):
         parts = ", ".join(f"{role}={state.value!r}" for role, state in self.fields.items())

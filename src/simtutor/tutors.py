@@ -136,7 +136,6 @@ class TutorSession:
         self._editable = script.editable_roles
         self._values = {r: script.given_fields.get(r) for r in self.family.layout}
         self._locked = set()
-        self._cursor = 0  # every canonical step before it is locked
         self._dead = False
 
     def snapshot(self):
@@ -152,13 +151,11 @@ class TutorSession:
 
     def next_step(self):
         """The first canonical step not yet locked, or None when all are."""
-        # Locked steps stay locked, so the scan resumes where it last stopped.
-        steps, locked = self.script.canonical_steps, self._locked
-        i = self._cursor
-        while i < len(steps) and steps[i].role in locked:
-            i += 1
-        self._cursor = i
-        return steps[i] if i < len(steps) else None
+        locked = self._locked
+        for step in self.script.canonical_steps:
+            if step.role not in locked:
+                return step
+        return None
 
     @staticmethod
     def _matches(step: CanonicalStep, action: str, token) -> bool:

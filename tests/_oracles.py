@@ -3,8 +3,8 @@
 The brute-force oracles enumerate expression spaces explicitly via itertools,
 sharing nothing with the production enumeration besides the canonical-string
 convention (commutative operands in sorted order).  ``evaluate`` and
-``utility`` are the slow, definition-level forms of what the agent computes
-through compiled procedures and cross-multiplied integers.
+``utility`` are the definition-level forms of what the agent computes by
+walking a procedure tree over its fields and by cross-multiplied integers.
 ``materialized_explain`` is the order oracle for ``induction.explain``: the
 search as it ran before it scanned each depth first, building every level in
 full through ``induction._compose_level``.  ``csv_write_transactions`` is the
@@ -17,7 +17,10 @@ as its definition states it, built field by field with no shape cache.
 row per problem, each counted once.  ``row_problem_outcomes``,
 ``row_filter_hard`` and ``first_rows`` are the row-level collapse, hard-item
 filter and first-row pass that the analytics ran on lists of step records
-before the log was stored one entry per problem.
+before the log was stored one entry per problem.  ``reference_run_agent`` is
+the plain agent that ``experiment.run_agent`` must equal, entry for entry:
+built from the oracles above, with fresh perception at every step and its
+own refinement and demonstration credit.
 """
 from __future__ import annotations
 
@@ -28,7 +31,15 @@ from itertools import groupby
 from operator import itemgetter
 
 from simtutor.analytics import ProblemOutcome, build_design, fit_logit, problem_outcomes
-from simtutor.experiment import COLUMNS, _integer, _Memo, _record, _text
+from simtutor.experiment import (
+    COLUMNS,
+    _generate_sets,
+    _integer,
+    _Memo,
+    _record,
+    _text,
+    agent_condition,
+)
 from simtutor.induction import (
     Lit,
     Ref,
@@ -36,7 +47,18 @@ from simtutor.induction import (
     _tree,
     divide,
 )
-from simtutor.state import INPUT_VALUE, ConfigError, WorkingMemory
+from simtutor.state import (
+    CORRECT,
+    ERROR,
+    HINT,
+    INPUT_VALUE,
+    SAI,
+    ConfigError,
+    FieldState,
+    WorkingMemory,
+    render_value,
+)
+from simtutor.tutors import TutorSession
 
 _OPS = {
     "add": lambda a, b: a + b,
@@ -216,7 +238,9 @@ def reference_fit(records, phase, terms):
 def evaluate(expr, values):
     """Evaluate against role -> exact number; None when unbound or divide-by-zero.
 
-    The reference semantics for ``induction.compile_procedure``.
+    The reference semantics for ``induction.evaluate``, which walks the same
+    tree over role -> ``FieldState`` and binds a role only while its field
+    holds an ``int``: this form is given those ``int`` values alone.
     """
     if isinstance(expr, Ref):
         return values.get(expr.role)
@@ -276,19 +300,119 @@ def materialized_explain(wm, demo, max_depth=2, allow_constant=True):
 
 def reference_memory(entries, family=None):
     """Working memory of checked (role, ``FieldState``) entries, one field at a
-    time: each field's filled/empty literal, its value when it is an ``int``,
-    its role when it is empty and editable, then what the family derives."""
-    fields, preds, values, open_roles = {}, set(), {}, set()
+    time: each field's filled/empty literal, its role when it is empty and
+    editable, then what the family derives."""
+    fields, preds, open_roles = {}, set(), set()
     for role, state in entries:
         fields[role] = state
         preds.add(("filled" if state.value is not None else "empty", role))
-        if type(state.value) is int:
-            values[role] = state.value
-        elif state.value is None and state.editable:
+        if state.value is None and state.editable:
             open_roles.add(role)
     if family is not None:
         preds |= family.derive(fields)
     wm = WorkingMemory.__new__(WorkingMemory)
-    wm.fields, wm.family, wm.values = fields, family, values
+    wm.fields, wm.family = fields, family
     wm.predicates, wm.open_roles = frozenset(preds), frozenset(open_roles)
     return wm
+
+
+class _ReferenceSkill:
+    """A learned production as the reference agent keeps it."""
+
+    def __init__(self, skill_id, role, action, procedure, conditions):
+        self.skill_id, self.target_role, self.action = skill_id, role, action
+        self.procedure, self.conditions, self.required = procedure, conditions, frozenset()
+        self.successes = self.attempts = 0
+
+    def learn(self, wm, correct):
+        """Count one outcome in ``wm`` and refine the predicate sets: a correct
+        one keeps only what holds, a wrong one requires what failed to hold."""
+        sat = wm.predicates
+        self.attempts += 1
+        if correct:
+            self.successes += 1
+            self.conditions, self.required = self.conditions & sat, self.required & sat
+        else:
+            self.required = self.required | {p for p in self.conditions if p not in sat}
+
+
+def _reference_value(skill, wm):
+    """The skill's value in ``wm`` over its ``int`` fields; None when its
+    procedure cannot execute, and the empty string for a structural action."""
+    if skill.procedure is None:
+        return ""
+    ints = {role: s.value for role, s in wm.fields.items() if type(s.value) is int}
+    return evaluate(skill.procedure, ints)
+
+
+def _reference_problem(skills, session):
+    """(correct, steps) of one problem, perceived afresh at every step."""
+    training = session.mode == "training"
+    steps, excluded = [], set()
+    while (step := session.next_step()) is not None:
+        wm = reference_memory([(r, FieldState(r, v, e)) for r, v, e in session.snapshot()],
+                              session.family)
+        candidates = [(sk, value) for sk in skills
+                      if sk.target_role in wm.open_roles and sk.skill_id not in excluded
+                      and sk.required <= wm.predicates
+                      and (value := _reference_value(sk, wm)) is not None]
+        if not candidates:
+            steps.append((step.role, HINT))
+            if not training:
+                break
+            _role, demo = session.demonstrate()
+            target = int(demo.input) if demo.action == INPUT_VALUE else ""
+            credited = [sk for sk in skills if sk.target_role == demo.selection
+                        and sk.action == demo.action and _reference_value(sk, wm) == target]
+            for sk in credited:
+                sk.learn(wm, True)
+            if not credited:
+                procedure = (materialized_explain(wm, demo)[0]
+                             if demo.action == INPUT_VALUE else None)
+                skills.append(_ReferenceSkill(f"s{len(skills) + 1:04d}", demo.selection,
+                                              demo.action, procedure, wm.predicates))
+            excluded.clear()
+            continue
+        skill, value = min(candidates, key=lambda c: (
+            -utility(c[0]), -c[0].attempts, c[0].skill_id))
+        sai = (SAI(skill.target_role, skill.action) if skill.procedure is None
+               else SAI(skill.target_role, INPUT_VALUE, render_value(value)))
+        outcome = session.submit(sai)
+        steps.append((step.role, outcome))
+        if training:
+            skill.learn(wm, outcome == CORRECT)
+        if outcome == ERROR:
+            if not training:
+                break
+            excluded.add(skill.skill_id)
+        else:
+            excluded.clear()
+    return all(outcome == CORRECT for _role, outcome in steps), steps
+
+
+def reference_run_agent(config, replication, agent_index, problems=None):
+    """``experiment.run_agent``'s log entries from a plain agent.
+
+    It perceives afresh through ``reference_memory`` at every step, matches
+    through ``evaluate`` over the ``int`` fields, ranks by ``utility``, then
+    attempts, then the smallest skill id, explains through
+    ``materialized_explain``, and refines and credits its own skills.  It
+    calls none of the agent's, induction's or working memory's own steps.
+    """
+    condition = agent_condition(config, agent_index)
+    if problems is None:
+        problems = _generate_sets(config, replication, agent_index)
+    pretrain, training, posttest = problems
+    skills, opportunities, entries = [], {}, []
+    for scripts, phase, mode, log in ((pretrain, "tutor", "training", False),
+                                      (training, "tutor", "training", True),
+                                      (posttest, "posttest", "posttest", True)):
+        for script in scripts:
+            correct, steps = _reference_problem(skills, TutorSession(script, mode))
+            opp = opportunities.get(script.problem_type, 0)
+            if log and steps:
+                entries.append((f"a{agent_index:03d}", replication, condition, phase,
+                                script.problem_id, script.problem_type, opp, correct,
+                                tuple(steps)))
+            opportunities[script.problem_type] = opp + 1
+    return entries

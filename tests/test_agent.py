@@ -1,11 +1,17 @@
-"""Decision cycle, feedback routing, and whole-problem runs."""
+"""Decision cycle, feedback routing, whole-problem runs, and whole agents
+against the plain reference agent of ``_oracles``."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
+from simtutor import agent as agent_module
+from simtutor import induction
 from simtutor.agent import (
     Activation,
     Agent,
@@ -15,6 +21,7 @@ from simtutor.agent import (
     perceive,
     run_problem,
 )
+from simtutor.experiment import _generate_sets, box_arrows_config, fractions_config, run_agent
 from simtutor.induction import Call, Ref, Skill
 from simtutor.state import (
     CORRECT,
@@ -32,7 +39,7 @@ from simtutor.tutors import (
     gen_fraction_problem,
 )
 
-from _oracles import utility
+from _oracles import reference_run_agent, utility
 
 
 def make_wm(*pairs, editable=()):
@@ -275,3 +282,38 @@ def test_identical_seeds_give_identical_transcripts():
 
     assert transcript(42) == transcript(42)
     assert transcript(42) != transcript(43)  # different problems, different path
+
+
+# -- whole agents against the reference agent ---------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(study=st.sampled_from((fractions_config, box_arrows_config)),
+       seed=st.integers(0, 10_000), replication=st.integers(0, 9),
+       agent_index=st.integers(0, 7), data=st.data())
+def test_run_agent_equals_the_reference_agent(study, seed, replication, agent_index, data):
+    config = study(seed=seed)
+    problems = None
+    if data.draw(st.booleans(), label="reorder training"):
+        pretrain, training, posttest = _generate_sets(config, replication, agent_index)
+        problems = pretrain, data.draw(st.permutations(training)), posttest
+    assert run_agent(config, replication, agent_index, problems).entries == \
+        reference_run_agent(config, replication, agent_index, problems)
+
+
+_AGENT_STEPS = {agent_module: ("activations", "decide", "apply_feedback", "perceive",
+                               "induce_from_demo", "refine_conditions"),
+                induction: ("explain", "induce_from_demo", "refine_conditions")}
+
+
+def test_the_reference_agent_calls_none_of_the_agents_steps(monkeypatch):
+    configs = (fractions_config(), box_arrows_config())
+    want = [run_agent(config, 0, 2).entries for config in configs]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the reference agent ran a step of the agent under test")
+    for module, names in _AGENT_STEPS.items():
+        for name in names:
+            assert not hasattr(_oracles, name)
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(WorkingMemory, "with_value", refuse)
+    assert [reference_run_agent(config, 0, 2) for config in configs] == want

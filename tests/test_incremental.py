@@ -1,11 +1,14 @@
-"""Incremental working memory and compiled procedures against their references.
+"""Incremental working memory and procedure evaluation against their references.
 
 ``run_problem`` perceives once per problem, through a per-shape cache of fill
 literals and open roles that the constructor shares, and derives every later
-state with ``WorkingMemory.with_value``; skills match through compiled
-closures instead of ``evaluate``.  These properties check each shortcut
+state with ``WorkingMemory.with_value``.  These properties check that shortcut
 against the slow, obviously-correct path it replaces: ``reference_memory``
-builds working memory field by field, with no shape cache.
+builds working memory field by field, with no shape cache.  Skills evaluate
+their procedure trees over the fields themselves, binding a role only while
+its field holds an ``int``; the oracle ``evaluate`` over a role -> number map
+is the reference for that walk.  The session-driven properties also check
+that ``TutorSession.next_step`` is the first canonical step still empty.
 """
 from __future__ import annotations
 
@@ -17,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simtutor import induction
 from simtutor.agent import perceive
 from simtutor.induction import (
     OPS,
     Call,
     Lit,
     Ref,
-    compile_procedure,
     divide,
 )
 from simtutor.state import (
@@ -53,7 +56,6 @@ def assert_same_memory(derived, fresh):
     assert list(derived.fields.items()) == list(fresh.fields.items())
     assert derived.family is fresh.family
     assert derived.predicates == fresh.predicates
-    assert derived.values == fresh.values
     assert derived.open_roles == fresh.open_roles
     leaves = derived.numeric_leaves()
     assert leaves == fresh.numeric_leaves()
@@ -85,6 +87,13 @@ def _entries(snapshot):
 def session_reference(session):
     """Working memory of ``session`` built field by field."""
     return reference_memory(_entries(session.snapshot()), session.family)
+
+
+def assert_next_step_is_the_first_empty_one(session, script):
+    # Posttest locks steps in any order, so the first empty step can lie
+    # before one that is already locked.
+    empty = [s for s in script.canonical_steps if session.value(s.role) is None]
+    assert session.next_step() == (empty[0] if empty else None)
 
 
 def _act(session, script, mode, action, pick):
@@ -123,6 +132,7 @@ def test_derived_memory_equals_fresh_perception(script, mode, actions):
             wm = wm.with_value(changed, session.value(changed))
         assert_same_memory(wm, session_reference(session))
         assert_same_memory(previous, before)  # copy on write
+        assert_next_step_is_the_first_empty_one(session, script)
 
 
 # -- perception and the constructor against the field-by-field reference ----
@@ -138,6 +148,7 @@ def test_perception_equals_the_reference_constructor(script, mode, actions):
             break
         _changed, outcome = _act(session, script, mode, action, pick)
         assert_same_memory(perceive(session), session_reference(session))
+        assert_next_step_is_the_first_empty_one(session, script)
 
 
 class _Snapshot:
@@ -228,7 +239,7 @@ def test_snapshots_in_any_order_equal_the_reference(case, data):
     assert_same_memory(WorkingMemory(entries), reference_memory(entries))
 
 
-# -- compiled procedures ------------------------------------------------------
+# -- procedures evaluated over the fields -------------------------------------
 
 _ROLES = ("a", "b", "c", "d")
 
@@ -237,8 +248,11 @@ expressions = st.recursive(
     lambda sub: st.builds(Call, st.sampled_from(OPS), sub, sub),
     max_leaves=6)
 
-numbers = st.one_of(st.integers(-6, 12),
-                    st.fractions(min_value=-6, max_value=12, max_denominator=7))
+# Only an ``int`` binds a role: a Fraction, an operator symbol, a checked box
+# (``True``, itself an ``int`` instance) and an empty field are all unbound.
+field_values = st.one_of(st.integers(-6, 12),
+                         st.fractions(min_value=-6, max_value=12, max_denominator=7),
+                         st.just("+"), st.just(True), st.none())
 
 
 def _rational(expr, values):
@@ -262,12 +276,14 @@ def _rational(expr, values):
 
 
 @settings(max_examples=500, deadline=None)
-@given(expr=expressions, values=st.dictionaries(st.sampled_from(_ROLES), numbers))
-def test_compiled_procedure_equals_evaluate(expr, values):
-    got = compile_procedure(expr)(values)
-    want = evaluate(expr, values)
+@given(expr=expressions, values=st.dictionaries(st.sampled_from(_ROLES), field_values))
+def test_evaluate_binds_only_int_fields(expr, values):
+    fields = {r: FieldState(r, v, True) for r, v in values.items()}
+    bound = {r: v for r, v in values.items() if type(v) is int}
+    got = induction.evaluate(expr, fields)
+    want = evaluate(expr, bound)
     assert got == want and type(got) is type(want)
-    assert want == _rational(expr, values)
+    assert want == _rational(expr, bound)
     if want is not None:
         assert render_value(want) == render_value(Fraction(want))
 
