@@ -91,15 +91,14 @@ class RegressionSummary:
 
 def problem_outcomes(records, phase: str = "tutor"):
     """One outcome per problem of a log or its rows, from its first entry,
-    contiguous or not.  Kept per log object and phase; each call returns a new list."""
-    log = TransactionLog.of(records)
-    if phase not in log.outcomes:
-        log.outcomes[phase] = _outcomes(log, phase)
-    return list(log.outcomes[phase])
+    contiguous or not.  A new list on every call, and nothing is kept: the
+    summaries read the log's outcome-cell counts instead."""
+    return list(map(ProblemOutcome._make, _problems(TransactionLog.of(records), phase)))
 
 
-def _outcomes(log, phase):
-    out, sets, rep, agent = [], {}, None, None
+def _problems(log, phase):
+    """The fields of each problem's ``ProblemOutcome``, in log order."""
+    sets, rep, agent = {}, None, None
     for (agent_id, replication, condition, rec_phase, problem_id, problem_type,
          opportunity, correct, _steps) in log.entries:
         if rec_phase != phase:
@@ -109,10 +108,28 @@ def _outcomes(log, phase):
             seen = sets.setdefault((rep, agent), set())  # a position is its size
         if problem_id not in seen:
             seen.add(problem_id)
-            out.append(tuple.__new__(ProblemOutcome, (
-                replication, agent_id, condition, problem_type, opportunity,
-                len(seen), correct)))
-    return out
+            yield (replication, agent_id, condition, problem_type, opportunity,
+                   len(seen), correct)
+
+
+def _outcomes(log, phase):
+    """The problems of ``phase`` counted by (condition, problem_type,
+    opportunity, position, correct): the cells every summary reads."""
+    return Counter(map(itemgetter(2, 3, 4, 5, 6), _problems(log, phase)))
+
+
+def _tally(records, phase, fields):
+    """The problems of ``phase``, and the correct ones among them, counted by
+    the cell fields at indexes ``fields``; each log keeps its cells by phase."""
+    log = TransactionLog.of(records)
+    if phase not in log.outcomes:
+        log.outcomes[phase] = _outcomes(log, phase)
+    key, totals, good = itemgetter(*fields), Counter(), Counter()
+    for cell, n in log.outcomes[phase].items():
+        totals[key(cell)] += n
+        if cell[4]:  # correct
+            good[key(cell)] += n
+    return totals, good
 
 
 def _interval(p_hat: float, n: int):
@@ -123,15 +140,12 @@ def _interval(p_hat: float, n: int):
 
 def learning_curve(records):
     """Mean problem-level training error per (condition, position), with 95% CIs."""
-    problems = problem_outcomes(records, "tutor")
-    if not problems:
+    counts, good = _tally(records, "tutor", (0, 3))  # condition, position
+    if not counts:
         raise ConfigError("no 'tutor' rows in the log")
-    key = itemgetter(2, 5)  # condition, position
-    counts = Counter(map(key, problems))
-    errors = counts - Counter(map(key, filter(itemgetter(6), problems)))  # correct
     points = []
     for (condition, position), n in sorted(counts.items()):
-        mean = errors[condition, position] / n
+        mean = (n - good[condition, position]) / n
         points.append(CurvePoint(condition, position, mean, *_interval(mean, n), n))
     return points
 
@@ -293,17 +307,13 @@ def build_design(problems, terms):
     return X, y, names
 
 
-# The fields of a ProblemOutcome that build_design reads.
-_CELL = itemgetter(2, 3, 4, 6)  # condition, problem_type, opportunity, correct
-
-
 def fit_logistic(records, phase: str = "tutor",
                  terms=("condition", "type", "count", "type:count")):
     """Problem-level correctness on condition, type, count, and type x count.
 
     The problems are counted by the fields the design reads, and the model is
     fitted on one row per distinct cell, weighted by its count."""
-    counts = Counter(map(_CELL, problem_outcomes(records, phase)))
+    counts, _good = _tally(records, phase, (0, 1, 2, 4))  # all but position
     cells = sorted(counts)
     X, y, names = build_design(
         [ProblemOutcome(0, "", condition, problem_type, opportunity, 0, correct)
@@ -323,7 +333,5 @@ def hard_problem_effect(records):
 
 
 def accuracy_by_condition(records, phase: str = "tutor"):
-    problems = problem_outcomes(records, phase)
-    totals = Counter(map(itemgetter(2), problems))  # condition
-    good = Counter(map(itemgetter(2), filter(itemgetter(6), problems)))  # correct
+    totals, good = _tally(records, phase, (0,))  # condition
     return {cond: good[cond] / count for cond, count in sorted(totals.items())}

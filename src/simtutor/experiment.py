@@ -69,19 +69,23 @@ COLUMNS = TrialRecord._fields
 
 def _entries(records, pairs):
     """The ``TransactionLog`` entries of rows ``records``; each (step_id, outcome)
-    pair becomes the equal one that dict ``pairs`` holds, or is added to it."""
+    pair, and then each run's tuple of pairs, becomes the equal one that dict
+    ``pairs`` holds, or is added to it."""
     out = []
     for key, rows in groupby(records, itemgetter(0, 1, 2, 3, 4, 5, 6, 9)):
         steps = list(map(itemgetter(7, 8), rows))
-        out.append((*key, tuple(map(pairs.setdefault, steps, steps))))
+        steps = tuple(map(pairs.setdefault, steps, steps))
+        out.append((*key, pairs.setdefault(steps, steps)))
     return out
 
 
-def _extend(entries, more):
-    """Append list ``more`` to ``entries``, merging a run split between them."""
+def _extend(entries, more, pairs):
+    """Append list ``more`` to ``entries``, merging a run split between them
+    into the equal run that dict ``pairs`` holds, or adding it there."""
     if entries and more and entries[-1][:8] == more[0][:8]:
         *key, steps = entries.pop()
-        more[0] = (*key, steps + more[0][8])
+        steps += more[0][8]
+        more[0] = (*key, pairs.setdefault(steps, steps))
     entries += more
 
 
@@ -99,7 +103,7 @@ class TransactionLog:
     def __init__(self, entries):
         self.entries = list(entries)
         self._rows = sum(len(entry[8]) for entry in self.entries)
-        self.outcomes = {}  # phase -> its problem_outcomes, never pickled
+        self.outcomes = {}  # phase -> its analytics outcome cells, never pickled
 
     def __reduce__(self):  # the entries alone: no memo, no row count
         return TransactionLog, (self.entries,)
@@ -185,7 +189,8 @@ def _plain_entries(lines, texts, numbers, pairs):
 
     Each line is split at its last three commas.  A problem's rows share the
     seven fields before them, so each distinct prefix is parsed once a chunk;
-    ``pairs`` is a ``_Memo`` of (step_id, outcome) token pairs."""
+    ``pairs`` is a ``_Memo`` of (step_id, outcome) token pairs, which also
+    interns each run's tuple of pairs."""
     text = "".join(lines)
     if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -209,8 +214,9 @@ def _plain_entries(lines, texts, numbers, pairs):
     except ValueError:
         return None
     runs = groupby(zip(prefixes, flags, row_pairs), itemgetter(0, 1))
-    return [(*heads[prefix], flag == "1\r\n", tuple(map(itemgetter(2), run)))
-            for (prefix, flag), run in runs]
+    return [(*heads[prefix], flag == "1\r\n", pairs.setdefault(steps, steps))
+            for (prefix, flag), run in runs
+            for steps in [tuple(map(itemgetter(2), run))]]
 
 
 @dataclass(frozen=True)
@@ -329,10 +335,10 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
             problem_type, steps = script.problem_type, result.steps
             opp = opportunities.get(problem_type, 0)
             if log and steps:
+                steps = tuple(map(pairs.setdefault, steps, steps))
                 entries.append((
                     agent_id, replication, condition, phase, script.problem_id,
-                    problem_type, opp, result.correct,
-                    tuple(map(pairs.setdefault, steps, steps))))
+                    problem_type, opp, result.correct, pairs.setdefault(steps, steps)))
             opportunities[problem_type] = opp + 1
 
     run_block(pretrain, "tutor", "training", log=False)
@@ -440,8 +446,8 @@ def read_transactions(path):
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         # One memo per read: each distinct token and (step_id, outcome) pair
-        # is checked and parsed once, and every entry holding it shares one
-        # object.
+        # is checked and parsed once, and every entry holding it, or an equal
+        # run of pairs, shares one object.
         texts, numbers = _Memo(_text), _Memo(_integer)
         pairs = _Memo(lambda pair: tuple(map(texts.__getitem__, pair)))
         consumed = 0  # lines read before ``reader``'s first
@@ -450,11 +456,11 @@ def read_transactions(path):
                 consumed, entries = reader.line_num, []
                 while (lines := list(islice(fh, READ_CHUNK))) and (chunk := (
                         _plain_entries(lines, texts, numbers, pairs))) is not None:
-                    _extend(entries, chunk)
+                    _extend(entries, chunk, pairs)
                     consumed += len(lines)
                 reader = csv.reader(chain(lines, fh))
                 _extend(entries, _entries(
-                    (_record(row, texts, numbers) for row in reader), pairs))
+                    (_record(row, texts, numbers) for row in reader), pairs), pairs)
                 return TransactionLog(entries)
         except (ValueError, csv.Error) as exc:
             # Decoding cannot fail a chunk ahead: line_num is the failing row's.

@@ -17,7 +17,8 @@ as its definition states it, built field by field with no shape cache.
 row per problem, each counted once.  ``row_problem_outcomes``,
 ``row_filter_hard`` and ``first_rows`` are the row-level collapse, hard-item
 filter and first-row pass that the analytics ran on lists of step records
-before the log was stored one entry per problem.  ``reference_run_agent`` is
+before the log was stored one entry per problem, and ``row_outcome_cells``
+counts that collapse into the cells the summaries read.  ``reference_run_agent`` is
 the plain agent that ``experiment.run_agent`` must equal, entry for entry:
 built from the oracles above, with fresh perception at every step and its
 own refinement and demonstration credit.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -205,6 +207,12 @@ def row_problem_outcomes(records, phase="tutor"):
         out.append(ProblemOutcome(replication, agent_id, condition, problem_type,
                                   opportunity, position, correct))
     return out
+
+
+def row_outcome_cells(log, phase):
+    """The outcome cells that ``analytics._outcomes`` counts, from the
+    row-level collapse of the log's rows."""
+    return Counter(outcome[2:] for outcome in row_problem_outcomes(log, phase))
 
 
 def row_filter_hard(records):

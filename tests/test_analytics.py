@@ -46,6 +46,7 @@ from _oracles import (
     reference_fit,
     reference_problem_outcomes,
     row_filter_hard,
+    row_outcome_cells,
     row_problem_outcomes,
 )
 
@@ -232,10 +233,11 @@ def test_outcomes_are_built_once_per_log_and_phase(outcome_builds):
     assert problem_outcomes(log, "tutor") == tutor
     assert [phase for phase, _log in outcome_builds] == ["tutor", "posttest"]
     assert all(built is log for _phase, built in outcome_builds)
-    # A list of rows becomes a new log on every call, so nothing is kept.
+    # problem_outcomes collapses the log anew on every call and never fills
+    # the memo, on a log or on a list of rows.
     rows = _two_phase_rows()
     assert problem_outcomes(rows) == problem_outcomes(rows) == tutor
-    assert len(outcome_builds) == 4
+    assert len(outcome_builds) == 2
 
 
 def test_each_call_returns_a_new_list():
@@ -252,12 +254,12 @@ def test_each_call_returns_a_new_list():
 def test_the_memo_never_crosses_a_pickle():
     log = TransactionLog.of(_two_phase_rows())
     blob = pickle.dumps(log)
-    tutor = problem_outcomes(log, "tutor")
-    assert pickle.dumps(log) == blob
+    tutor = accuracy_by_condition(log, "tutor")
+    assert log.outcomes and pickle.dumps(log) == blob
     copy = pickle.loads(blob)
     assert copy.outcomes == {} and copy.entries == log.entries
     assert len(copy) == len(log)
-    assert problem_outcomes(copy, "tutor") == tutor
+    assert accuracy_by_condition(copy, "tutor") == tutor
     # A cell's log after a summary still pickles as its plain entries alone.
     cell = run_agent(box_arrows_config(n_agents=2, replications=1, seed=3), 0, 1)
     blob = pickle.dumps(cell)
@@ -657,7 +659,7 @@ def _summaries(records):
 def test_summaries_of_a_log_match_those_of_its_rows(rows):
     # The reference collapses and filters the rows one row at a time.
     with mock.patch.multiple(analytics, problem_outcomes=row_problem_outcomes,
-                             filter_hard=row_filter_hard):
+                             _outcomes=row_outcome_cells, filter_hard=row_filter_hard):
         expected, expected_fits = _summaries(rows)
     log = TransactionLog.of(rows)
     assert len(log) == len(rows)

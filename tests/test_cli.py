@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from simtutor import cli, experiment
+from simtutor import analytics, cli, experiment
 from simtutor.analytics import (
     MAX_ITER,
     DesignError,
@@ -242,6 +242,16 @@ def test_report_builds_each_phase_once(tmp_path, monkeypatch, capsys, outcome_bu
     # builds nothing.
     learning_curve(read[0])
     assert len(outcome_builds) == 2
+
+
+def test_run_and_report_never_list_problem_outcomes(tmp_path, monkeypatch, capsys):
+    # Both commands read the outcome cells alone, never a per-problem list.
+    def refuse(*_args):
+        raise AssertionError("problem_outcomes called")
+    monkeypatch.setattr(analytics, "problem_outcomes", refuse)
+    log = run_dir(tmp_path) / "transactions.csv"
+    assert main(["report", str(log)]) == 0
+    assert "posttest regression:" in capsys.readouterr().out
 
 
 # The report of a 4-agent box run at seed 2, as every summary gave it when

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simtutor import experiment
-from simtutor.analytics import problem_outcomes
+from simtutor.analytics import accuracy_by_condition, problem_outcomes
 from simtutor.experiment import (
     COLUMNS,
     TrialRecord,
@@ -270,9 +270,12 @@ def test_cells_hand_back_plain_rows():
     assert log and all(type(e) is tuple and len(e) == 9 for e in log.entries)
     assert all(type(pair) is tuple and len(pair) == 2
                for entry in log.entries for pair in entry[8])
+    # Equal step runs are one object, and some problems do repeat a run.
+    runs = [entry[8] for entry in log.entries]
+    assert len(set(map(id, runs))) == len(set(runs)) < len(runs)
     assert b"TrialRecord" not in pickle.dumps(experiment._worker((cfg, 0, 1, None)))
     # A log pickles as its entries: the copy has no outcome memo to carry.
-    problem_outcomes(log)
+    accuracy_by_condition(log)
     copy = pickle.loads(pickle.dumps(log))
     assert log.outcomes and copy.outcomes == {}
     assert len(copy) == len(log) and copy.entries == log.entries
@@ -457,6 +460,7 @@ def test_record_row_round_trip(log_path, rows):
 _CHUNK = experiment.WRITE_CHUNK
 # A quote and a line break but no comma, so only a full guard sends it to csv.
 _QUOTED = TrialRecord('a"1', 0, "", "tutor", "p", "t", 0, "s\n", "ERROR", False)
+_RUN = _QUOTED._replace(agent_id="a", step_id="s")
 
 
 @settings(max_examples=40, deadline=None)
@@ -544,6 +548,12 @@ def _plant(rows, defect, i):
          defect=("columns", _READ + 5), tail=1)
 @example(plain=[_QUOTED._replace(agent_id="a", step_id="s")],
          quirks=[(2 * _READ, "cr", _QUOTED)], defect=None, tail=1)
+# Runs of two, one, two... rows: the first chunk ends inside a run of two,
+# which csv.reader reads on when a quirk follows.
+@example(plain=[_RUN, _RUN, _RUN._replace(problem_id="q")], quirks=[], defect=None,
+         tail=1)
+@example(plain=[_RUN, _RUN, _RUN._replace(problem_id="q")],
+         quirks=[(_READ + 9, "cr", _QUOTED)], defect=None, tail=1)
 def test_reader_matches_csv_reader(log_path, plain, quirks, defect, tail):
     # Several chunks and a short tail; a quirk sends its chunk and the rest
     # of the file to csv.reader.
@@ -572,6 +582,9 @@ def test_reader_matches_csv_reader(log_path, plain, quirks, defect, tail):
     for column in _TEXT_COLUMNS:
         values = [getattr(r, column) for r in records]
         assert len({id(v) for v in values}) == len(set(values)), column
+    # Equal step runs are one object, also where a chunk split one.
+    runs = [entry[8] for entry in records.entries]
+    assert len(set(map(id, runs))) == len(set(runs))
 
 
 def _problem_rows(problem, opportunity, n):
