@@ -18,7 +18,7 @@ from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .agent import Agent, run_problem
-from .state import CORRECT, ERROR, HINT, SIMULATION_ERRORS, ConfigError
+from .state import CORRECT, ERROR, HINT, SIMULATION_ERRORS, ConfigError, parse_integer
 from .tutors import (
     _BOX_OPS,
     _SLOTS,
@@ -153,20 +153,12 @@ def _text(token):
     return token
 
 
-def _integer(token):
-    """The ``int`` that ``as_row`` writes as exactly ``token``."""
-    value = int(token)
-    if str(value) != token:
-        raise ValueError(f"non-canonical integer {token!r}")
-    return value
-
-
 def _record(row, texts, numbers):
     """Check one row and build its record, parsing tokens through the memos.
 
     ``texts`` is a ``_Memo(_text)``, which maps a token to the first equal
     token it saw, since ``_text`` returns its argument; ``numbers`` is a
-    ``_Memo(_integer)``.
+    ``_Memo(parse_integer)``.
     """
     if len(row) != len(COLUMNS):
         raise ValueError(f"expected {len(COLUMNS)} columns, got {row!r}")
@@ -448,7 +440,7 @@ def read_transactions(path):
         # One memo per read: each distinct token and (step_id, outcome) pair
         # is checked and parsed once, and every entry holding it, or an equal
         # run of pairs, shares one object.
-        texts, numbers = _Memo(_text), _Memo(_integer)
+        texts, numbers = _Memo(_text), _Memo(parse_integer)
         pairs = _Memo(lambda pair: tuple(map(texts.__getitem__, pair)))
         consumed = 0  # lines read before ``reader``'s first
         try:

@@ -5,7 +5,8 @@ primitives (add, subtract, multiply, divide) over the visible numeric fields,
 shallowest first, with exact arithmetic: values stay ``int``, and a
 ``Fraction`` appears only for a division that does not come out whole.  An
 explanation generalizes into a reusable skill: a procedure over field roles
-plus two predicate sets.
+plus two predicate sets.  A procedure is plain data: a field role (``str``), a
+constant (``int``) or an ``(op, left, right)`` tuple over two procedures.
 
 ``conditions`` is the skill's positive prototype: every predicate observed
 true when the skill was demonstrated, shrunk to the intersection over later
@@ -36,31 +37,8 @@ _ARITH = {"add": operator.add, "subtract": operator.sub, "multiply": operator.mu
 
 
 # --------------------------------------------------------------------------
-# Expression trees
+# Expressions
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Ref:
-    """Leaf referencing a field role."""
-
-    role: str
-
-
-@dataclass(frozen=True)
-class Lit:
-    """Constant leaf, used when a value cannot be derived from the state."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class Call:
-    """Binary operator application."""
-
-    op: str
-    left: object
-    right: object
-
 
 def divide(left, right):
     """Exact quotient (an ``int`` when ints divide evenly), or None for a zero divisor."""
@@ -73,41 +51,39 @@ def divide(left, right):
 
 
 def evaluate(expr, fields):
-    """``expr``'s exact value over role -> ``FieldState``, or None when a role
+    """``expr``'s exact value over role -> field value, or None when a role
     is unbound or a divisor is zero.  A role binds only while its field holds
     an ``int``."""
-    if type(expr) is Ref:
-        state = fields.get(expr.role)
-        return state.value if state is not None and type(state.value) is int else None
-    if type(expr) is Lit:
-        return expr.value
-    left = evaluate(expr.left, fields)
+    kind = type(expr)
+    if kind is str:
+        value = fields.get(expr)
+        return value if type(value) is int else None
+    if kind is int:
+        return expr
+    op, left, right = expr
+    left = evaluate(left, fields)
     if left is None:
         return None
-    right = evaluate(expr.right, fields)
-    return None if right is None else _ARITH.get(expr.op, divide)(left, right)
+    right = evaluate(right, fields)
+    return None if right is None else _ARITH.get(op, divide)(left, right)
 
 
 def depth(expr) -> int:
-    if isinstance(expr, (Ref, Lit)):
-        return 0
-    return 1 + max(depth(expr.left), depth(expr.right))
+    if type(expr) is tuple:
+        return 1 + max(depth(expr[1]), depth(expr[2]))
+    return 0
 
 
 def expr_roles(expr) -> frozenset:
-    if isinstance(expr, Ref):
-        return frozenset((expr.role,))
-    if isinstance(expr, Lit):
-        return frozenset()
-    return expr_roles(expr.left) | expr_roles(expr.right)
+    if type(expr) is tuple:
+        return expr_roles(expr[1]) | expr_roles(expr[2])
+    return frozenset((expr,)) if type(expr) is str else frozenset()
 
 
 def sexpr(expr) -> str:
-    if isinstance(expr, Ref):
-        return expr.role
-    if isinstance(expr, Lit):
-        return str(expr.value)
-    return f"({expr.op} {sexpr(expr.left)} {sexpr(expr.right)})"
+    if type(expr) is tuple:
+        return f"({expr[0]} {sexpr(expr[1])} {sexpr(expr[2])})"
+    return str(expr)
 
 
 def _operands(levels, d):
@@ -158,13 +134,21 @@ def _tree(key, leaves):
     with commutative operands in rendering order, and its ``sexpr``."""
     if key[0] == 0:
         role = leaves[key[1]][0]
-        return Ref(role), role
+        return role, role
     _call, opi, left, right = key
     op = OPS[opi]
     (left, ltext), (right, rtext) = _tree(left, leaves), _tree(right, leaves)
     if op in COMMUTATIVE and ltext > rtext:
         left, right, ltext, rtext = right, left, rtext, ltext
-    return Call(op, left, right), f"({op} {ltext} {rtext})"
+    return (op, left, right), f"({op} {ltext} {rtext})"
+
+
+def _demonstrated(demo: SAI) -> int:
+    """The demonstrated value; ``InvariantError`` unless it is a number."""
+    try:
+        return int(demo.input)
+    except (TypeError, ValueError):
+        raise InvariantError(f"non-numeric demonstration {demo.input!r}") from None
 
 
 def explain(wm: WorkingMemory, demo: SAI, allow_constant: bool = True):
@@ -181,11 +165,7 @@ def explain(wm: WorkingMemory, demo: SAI, allow_constant: bool = True):
     """
     if demo.action != INPUT_VALUE:
         return []
-    try:
-        target = int(demo.input)
-    except (TypeError, ValueError):
-        raise InvariantError(f"non-numeric demonstration {demo.input!r}") from None
-
+    target = _demonstrated(demo)
     leaves = wm.numeric_leaves()
     levels = [[((0, i), 1 << i, val) for i, (_role, val) in enumerate(leaves)]]
     for d in range(MAX_DEPTH + 1):
@@ -198,7 +178,7 @@ def explain(wm: WorkingMemory, demo: SAI, allow_constant: bool = True):
         if 0 < d < MAX_DEPTH:
             levels.append(_compose_level(levels, d))
     if allow_constant:
-        return [Lit(target)]
+        return [target]
     return []
 
 
@@ -213,7 +193,7 @@ class Skill:
     skill_id: str
     target_role: str
     action: str
-    procedure: object  # Ref | Lit | Call, or None for structural actions
+    procedure: object  # an expression, or None for structural actions
     conditions: frozenset
     required: frozenset = frozenset()
     successes: int = 0
@@ -246,9 +226,11 @@ def generalize(expr, wm: WorkingMemory, target_role: str, skill_id: str) -> Skil
     missing = [r for r in expr_roles(expr) if r not in wm.fields]
     if missing:
         raise InvariantError(f"explanation references absent roles {missing}")
+    if target_role not in wm.fields:
+        raise InvariantError(f"unknown field {target_role!r}")
     return Skill(
         skill_id=skill_id,
-        target_role=wm.field(target_role).role,
+        target_role=target_role,
         action=INPUT_VALUE,
         procedure=expr,
         conditions=wm.predicates,
@@ -281,10 +263,10 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id):
     nothing else explains the value) is generalized into a new skill, which
     is appended to ``skills`` and returned.
     """
-    role = wm.field(demo.selection).role
-    value = None
-    if demo.action == INPUT_VALUE:
-        value = int(demo.input)
+    role = demo.selection
+    if role not in wm.fields:
+        raise InvariantError(f"unknown field {role!r}")
+    value = _demonstrated(demo) if demo.action == INPUT_VALUE else None
 
     credited = False
     for sk in skills:

@@ -48,9 +48,8 @@ SIMULATION_ERRORS = (GenerationError, InvariantError, MalformedTutorError,
 class FieldState(NamedTuple):
     """One interface field: semantic role, current value, editability.
 
-    A named tuple rather than a frozen dataclass: working memory builds one
-    per field per problem and one per step, and a tuple is built in half the
-    time.
+    The checked ``WorkingMemory`` constructor's input and ``field``'s result;
+    working memory itself keeps the values and one set of editable roles.
     """
 
     role: str
@@ -83,33 +82,38 @@ def render_value(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fill_literal(role, state):
-    return ("filled", role) if state.value is not None else ("empty", role)
+def parse_integer(token):
+    """The ``int`` that ``render_value`` writes as exactly ``token``; raises
+    ``ValueError`` for any other text."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"non-canonical integer {token!r}")
+    return value
 
 
 @cache
 def _shape(layout, kinds, editable):
-    """Fill literals, open roles, blank fields and filled field indices shared
-    by every snapshot of ``layout`` with these value types (None when empty)
-    and editable flags; cached by shape alone, never by value."""
+    """Fill literals, open roles and editable roles shared by every snapshot
+    of ``layout`` with these value types (None when empty) and editable
+    flags; cached by shape alone, never by value."""
     empty = [kind is type(None) for kind in kinds]
     literals = frozenset(("empty" if e else "filled", r) for r, e in zip(layout, empty))
     open_roles = frozenset(r for r, e, ed in zip(layout, empty, editable) if e and ed)
-    blank = {r: FieldState(r, None, ed) for r, ed in zip(layout, editable)}
-    return literals, open_roles, blank, [i for i, e in enumerate(empty) if not e]
+    return literals, open_roles, frozenset(r for r, ed in zip(layout, editable) if ed)
 
 
 class WorkingMemory:
-    """The visible tutor state: fields by role, plus the true predicate set.
+    """The visible tutor state: field values by role, plus the true predicate set.
 
-    ``fields`` maps each role to its ``FieldState`` in layout order.  The
-    predicates are every field's filled/empty literal plus what the tutor
-    family derives (none without a family).  ``open_roles`` holds the roles
-    of the editable fields that are still empty.  Working memory is
-    never mutated: ``with_value`` derives the state after one field changes.
+    ``fields`` maps each role to its value (``None`` when empty) in layout
+    order, and ``editable`` holds the editable roles.  The predicates are
+    every field's filled/empty literal plus what the tutor family derives
+    (none without a family).  ``open_roles`` holds the roles of the editable
+    fields that are still empty.  Working memory is never mutated:
+    ``with_value`` derives the state after one field changes.
     """
 
-    __slots__ = ("fields", "family", "predicates", "open_roles")
+    __slots__ = ("fields", "editable", "family", "predicates", "open_roles")
 
     def __init__(self, entries, family=None):
         states = {}
@@ -122,8 +126,7 @@ class WorkingMemory:
             states[role] = state
         if not states:
             raise MalformedTutorError("empty tutor snapshot")
-        snapshot = tuple(states.values())
-        self._build(snapshot, tuple(zip(*snapshot)), family)
+        self._build(tuple(zip(*states.values())), family)
 
     @classmethod
     def from_snapshot(cls, snapshot, family):
@@ -136,46 +139,42 @@ class WorkingMemory:
                 if role not in family.layout:
                     raise MalformedTutorError(f"role {role!r} not in the tutor's layout")
             return cls([(r, FieldState(r, v, e)) for r, v, e in snapshot], family)
-        return cls.__new__(cls)._build(snapshot, columns, family)
+        return cls.__new__(cls)._build(columns, family)
 
-    def _build(self, snapshot, columns, family):
-        """Set every attribute from checked (role, value, editable) triples and
-        their columns over the cached shape; returns ``self``."""
+    def _build(self, columns, family):
+        """Set every attribute from the checked roles, values and editable
+        flags over the cached shape; returns ``self``."""
         roles, values, editable = columns
-        literals, open_roles, blank, filled = _shape(
+        literals, self.open_roles, self.editable = _shape(
             roles, tuple(map(type, values)), editable)
-        self.fields = fields = blank.copy()
-        for i in filled:  # a snapshot triple holds a FieldState's fields in order
-            fields[roles[i]] = tuple.__new__(FieldState, snapshot[i])
+        self.fields = fields = dict(zip(roles, values))
         self.family = family
         self.predicates = (literals if family is None
                            else literals.union(family.derive(fields)))
-        self.open_roles = open_roles
         return self
 
     def with_value(self, role, value) -> WorkingMemory:
         """Working memory after field ``role`` takes ``value``; ``self`` is unchanged.
 
-        Copies the field map once and applies a predicate delta: the field's
+        Copies the value map once and applies a predicate delta: the field's
         filled/empty literal, plus the derived predicates when the field is
         one of the family's derive inputs.
         """
-        # A FieldState is never falsy; field() raises on an unknown role.
-        old = self.fields.get(role) or self.field(role)
-        new = tuple.__new__(FieldState, (role, value, old.editable))
+        # field() raises on an unknown role.
+        old = self.fields[role] if role in self.fields else self.field(role)
         fields = self.fields.copy()
-        fields[role] = new
+        fields[role] = value
         wm = WorkingMemory.__new__(WorkingMemory)
         wm.fields = fields
+        wm.editable = self.editable
         wm.family = family = self.family
         preds = self.predicates
         open_roles = self.open_roles
         filled = value is not None
-        if (old.value is not None) != filled:
+        if (old is not None) != filled:
             # Swaps the field's literal: the old one is in, the new one is not.
-            preds = preds.symmetric_difference(
-                (_fill_literal(role, old), _fill_literal(role, new)))
-            if old.editable:
+            preds = preds.symmetric_difference((("filled", role), ("empty", role)))
+            if role in self.editable:
                 open_roles = (open_roles.difference((role,)) if filled
                               else open_roles.union((role,)))
         if family is not None and role in family.derive_inputs:
@@ -185,17 +184,17 @@ class WorkingMemory:
         wm.open_roles = open_roles
         return wm
 
-    def field(self, role):
-        try:
-            return self.fields[role]
-        except KeyError:
-            raise InvariantError(f"unknown field {role!r}") from None
+    def field(self, role) -> FieldState:
+        """Field ``role`` as a ``FieldState``; ``InvariantError`` if unknown."""
+        if role not in self.fields:
+            raise InvariantError(f"unknown field {role!r}")
+        return FieldState(role, self.fields[role], role in self.editable)
 
     def numeric_leaves(self):
         """(role, value) of every field that holds an ``int``, in layout order."""
-        return [(role, state.value) for role, state in self.fields.items()
-                if type(state.value) is int]
+        return [(role, value) for role, value in self.fields.items()
+                if type(value) is int]
 
     def __repr__(self):
-        parts = ", ".join(f"{role}={state.value!r}" for role, state in self.fields.items())
+        parts = ", ".join(f"{role}={value!r}" for role, value in self.fields.items())
         return f"WorkingMemory({parts})"

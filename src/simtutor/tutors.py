@@ -21,15 +21,16 @@ from .state import (
     ProtocolError,
     SAI,
     ConfigError,
+    parse_integer,
 )
 
 class TutorFamily(NamedTuple):
     """What one tutor tells the agent about its interface.
 
     ``layout`` lists the field roles in display order.  ``derive`` maps the
-    field states (role -> ``FieldState``) to the tutor's derived predicates;
-    it reads only the roles in ``derive_inputs``, so a change to any other
-    field only swaps that field's filled/empty literal.
+    field values (role -> value, ``None`` when empty) to the tutor's derived
+    predicates; it reads only the roles in ``derive_inputs``, so a change to
+    any other field only swaps that field's filled/empty literal.
     """
 
     layout: tuple
@@ -40,26 +41,19 @@ class TutorFamily(NamedTuple):
 def _fraction_predicates(fields):
     preds = set()
     op = fields.get("op")
-    if op is not None and op.value is not None:
-        preds.add(("op_equals", op.value))
+    if op is not None:
+        preds.add(("op_equals", op))
     d1, d2 = fields.get("den1"), fields.get("den2")
-    if (d1 is not None and d2 is not None and type(d1.value) is int
-            and type(d2.value) is int):
-        preds.add(("denominators_equal",) if d1.value == d2.value
-                  else ("denominators_differ",))
-    chk = fields.get("convert_check")
-    if chk is not None and bool(chk.value):
+    if type(d1) is int and type(d2) is int:
+        preds.add(("denominators_equal",) if d1 == d2 else ("denominators_differ",))
+    if fields.get("convert_check"):
         preds.add(("box_checked",))
     return preds
 
 
 def _box_predicates(fields):
-    preds = set()
-    for role in ("r1_op", "r2_op"):
-        st = fields.get(role)
-        if st is not None and st.value is not None:
-            preds.add(("op_is", role, st.value))
-    return preds
+    return {("op_is", role, value) for role in ("r1_op", "r2_op")
+            if (value := fields.get(role)) is not None}
 
 
 FRACTION_FAMILY = TutorFamily(
@@ -166,7 +160,10 @@ class TutorSession:
         role, action, _expected = step
         self._locked.add(role)
         if action == INPUT_VALUE:
-            self._values[role] = int(token) if token.lstrip("-").isdigit() else token
+            try:
+                self._values[role] = parse_integer(token)
+            except ValueError:
+                self._values[role] = token
         else:
             self._values[role] = True
 

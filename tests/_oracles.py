@@ -36,19 +36,12 @@ from simtutor.analytics import ProblemOutcome, build_design, fit_logit, problem_
 from simtutor.experiment import (
     COLUMNS,
     _generate_sets,
-    _integer,
     _Memo,
     _record,
     _text,
     agent_condition,
 )
-from simtutor.induction import (
-    Lit,
-    Ref,
-    _compose_level,
-    _tree,
-    divide,
-)
+from simtutor.induction import _compose_level, _tree, divide
 from simtutor.state import (
     CORRECT,
     ERROR,
@@ -58,6 +51,7 @@ from simtutor.state import (
     ConfigError,
     FieldState,
     WorkingMemory,
+    parse_integer,
     render_value,
 )
 from simtutor.tutors import TutorSession
@@ -156,7 +150,7 @@ def csv_read_transactions(path):
     """The transaction log as ``csv.reader`` and ``_record`` parse it, row by row."""
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        texts, numbers = _Memo(_text), _Memo(_integer)
+        texts, numbers = _Memo(_text), _Memo(parse_integer)
         try:
             if tuple(next(reader, ())) == COLUMNS:
                 return [_record(row, texts, numbers) for row in reader]
@@ -247,24 +241,27 @@ def evaluate(expr, values):
     """Evaluate against role -> exact number; None when unbound or divide-by-zero.
 
     The reference semantics for ``induction.evaluate``, which walks the same
-    tree over role -> ``FieldState`` and binds a role only while its field
+    expression (a role, an ``int`` constant or an ``(op, left, right)``
+    tuple) over every field value and binds a role only while its field
     holds an ``int``: this form is given those ``int`` values alone.
     """
-    if isinstance(expr, Ref):
-        return values.get(expr.role)
-    if isinstance(expr, Lit):
-        return expr.value
-    left = evaluate(expr.left, values)
+    if isinstance(expr, tuple):
+        op, left, right = expr
+    elif isinstance(expr, str):
+        return values.get(expr)
+    else:
+        return expr
+    left = evaluate(left, values)
     if left is None:
         return None
-    right = evaluate(expr.right, values)
+    right = evaluate(right, values)
     if right is None:
         return None
-    if expr.op == "add":
+    if op == "add":
         return left + right
-    if expr.op == "subtract":
+    if op == "subtract":
         return left - right
-    if expr.op == "multiply":
+    if op == "multiply":
         return left * right
     if right == 0:
         return None
@@ -302,24 +299,27 @@ def materialized_explain(wm, demo, max_depth=2, allow_constant=True):
         if found:
             return found
     if allow_constant:
-        return [Lit(target)]
+        return [target]
     return []
 
 
 def reference_memory(entries, family=None):
     """Working memory of checked (role, ``FieldState``) entries, one field at a
-    time: each field's filled/empty literal, its role when it is empty and
-    editable, then what the family derives."""
-    fields, preds, open_roles = {}, set(), set()
+    time: each field's value and filled/empty literal, its role in the
+    editable set when it is editable and in the open set when it is also
+    empty, then what the family derives from the values."""
+    fields, preds, editable, open_roles = {}, set(), set(), set()
     for role, state in entries:
-        fields[role] = state
+        fields[role] = state.value
         preds.add(("filled" if state.value is not None else "empty", role))
-        if state.value is None and state.editable:
-            open_roles.add(role)
+        if state.editable:
+            editable.add(role)
+            if state.value is None:
+                open_roles.add(role)
     if family is not None:
         preds |= family.derive(fields)
     wm = WorkingMemory.__new__(WorkingMemory)
-    wm.fields, wm.family = fields, family
+    wm.fields, wm.editable, wm.family = fields, frozenset(editable), family
     wm.predicates, wm.open_roles = frozenset(preds), frozenset(open_roles)
     return wm
 
@@ -349,7 +349,7 @@ def _reference_value(skill, wm):
     procedure cannot execute, and the empty string for a structural action."""
     if skill.procedure is None:
         return ""
-    ints = {role: s.value for role, s in wm.fields.items() if type(s.value) is int}
+    ints = {role: value for role, value in wm.fields.items() if type(value) is int}
     return evaluate(skill.procedure, ints)
 
 

@@ -22,7 +22,7 @@ from simtutor.agent import (
     run_problem,
 )
 from simtutor.experiment import _generate_sets, box_arrows_config, fractions_config, run_agent
-from simtutor.induction import Call, Ref, Skill
+from simtutor.induction import Skill
 from simtutor.state import (
     CORRECT,
     HINT,
@@ -51,7 +51,7 @@ def make_wm(*pairs, editable=()):
 
 def answer_skill(skill_id, successes, attempts, required=frozenset()):
     return Skill(skill_id, "answer_num", "input_value",
-                 Call("add", Ref("num1"), Ref("num2")),
+                 ("add", "num1", "num2"),
                  conditions=frozenset([("filled", "num1"), ("filled", "num2")]),
                  required=frozenset(required),
                  successes=successes, attempts=attempts)
@@ -67,10 +67,10 @@ def test_perceive_projects_the_full_interface():
     rng = random.Random(0)
     script = gen_fraction_problem("add_diff", rng, "p1")
     wm = perceive(TutorSession(script, "training"))
-    assert wm.fields["num1"].value == script.given_fields["num1"]
+    assert wm.fields["num1"] == script.given_fields["num1"]
     # conversion fields are visible (and empty) from problem start
     for role in ("conv_num1", "conv_den1", "conv_num2", "conv_den2"):
-        assert role in wm.fields and wm.fields[role].value is None
+        assert role in wm.fields and wm.fields[role] is None
 
 
 def test_perceive_box_easy_projection():
@@ -83,9 +83,10 @@ def test_perceive_box_easy_projection():
                          CanonicalStep("done", "press_done")),
         editable_roles=frozenset(("r2_a", "done")))
     wm = perceive(TutorSession(script, "training"))
-    assert wm.fields["r1_a"].value == 22 and wm.fields["r1_b"].value == 11
-    assert wm.fields["r1_op"].value == "/"
-    assert wm.fields["r2_a"].value is None and wm.fields["r2_a"].editable
+    assert wm.fields["r1_a"] == 22 and wm.fields["r1_b"] == 11
+    assert wm.fields["r1_op"] == "/"
+    assert wm.fields["r2_a"] is None and wm.editable == {"r2_a", "done"}
+    assert wm.field("r2_a") == FieldState("r2_a", None, True)
 
 
 def test_perceive_rejects_empty_and_unknown_snapshots():
@@ -221,7 +222,7 @@ def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
     agent = Agent()
     # A wrong rule for every step the tutor expects first.
     agent.skills.append(Skill("s1", "answer_num", "input_value",
-                              Call("multiply", Ref("den1"), Ref("den2")),
+                              ("multiply", "den1", "den2"),
                               conditions=frozenset(), required=frozenset()))
     session = TutorSession(script, "training")
     result = run_problem(agent, session)

@@ -30,7 +30,7 @@ from simtutor.experiment import (
     sequence_fractions,
     write_transactions,
 )
-from simtutor.state import ConfigError, ProtocolError
+from simtutor.state import ConfigError, InvariantError, ProtocolError
 from simtutor.tutors import ProblemScript
 
 from _oracles import csv_read_transactions, csv_write_transactions
@@ -328,6 +328,23 @@ def test_a_failing_cell_names_itself(monkeypatch, jobs):
         run_study(cfg)
     assert str(err.value) == \
         "replication 1, agent 2: training session failed to progress"
+
+
+@pytest.mark.parametrize("token", ["²5", "--5"])
+def test_a_non_numeric_demonstration_names_its_cell(token):
+    # A fresh agent asks for its first training step, so the tutor shows the
+    # replaced token; it is no number, and the agent cannot explain it.
+    cfg = fractions_config(n_agents=1, replications=1, seed=3)
+    sets = dump_problem_sets(cfg)
+    pretrain, training, posttest = sets[(0, 0)]
+    steps = list(training[0].canonical_steps)
+    i = next(i for i, step in enumerate(steps) if step.expected is not None)
+    steps[i] = steps[i]._replace(expected=token)
+    training = [training[0]._replace(canonical_steps=tuple(steps)), *training[1:]]
+    sets[(0, 0)] = (pretrain, training, posttest)
+    with pytest.raises(InvariantError) as err:
+        run_study(cfg, problem_sets=sets)
+    assert str(err.value) == f"replication 0, agent 0: non-numeric demonstration {token!r}"
 
 
 def test_box_study_counts_and_hard_filter():

@@ -1,11 +1,12 @@
 """Incremental working memory and procedure evaluation against their references.
 
 ``run_problem`` perceives once per problem, through a per-shape cache of fill
-literals and open roles that the constructor shares, and derives every later
-state with ``WorkingMemory.with_value``.  These properties check that shortcut
-against the slow, obviously-correct path it replaces: ``reference_memory``
-builds working memory field by field, with no shape cache.  Skills evaluate
-their procedure trees over the fields themselves, binding a role only while
+literals, open roles and editable roles that the constructor shares, and
+derives every later state with ``WorkingMemory.with_value``.  These
+properties check that shortcut against the slow, obviously-correct path it
+replaces: ``reference_memory`` builds working memory field by field, with no
+shape cache.  Skills evaluate their procedures (a role, an ``int`` or an
+``(op, left, right)`` tuple) over the field values, binding a role only while
 its field holds an ``int``; the oracle ``evaluate`` over a role -> number map
 is the reference for that walk.  The session-driven properties also check
 that ``TutorSession.next_step`` is the first canonical step still empty.
@@ -24,9 +25,6 @@ from simtutor import induction
 from simtutor.agent import perceive
 from simtutor.induction import (
     OPS,
-    Call,
-    Lit,
-    Ref,
     divide,
 )
 from simtutor.state import (
@@ -54,12 +52,20 @@ from _oracles import evaluate, reference_memory
 
 def assert_same_memory(derived, fresh):
     assert list(derived.fields.items()) == list(fresh.fields.items())
+    assert derived.editable == fresh.editable
     assert derived.family is fresh.family
     assert derived.predicates == fresh.predicates
     assert derived.open_roles == fresh.open_roles
     leaves = derived.numeric_leaves()
     assert leaves == fresh.numeric_leaves()
     assert [type(v) for _r, v in leaves] == [int] * len(leaves)
+
+
+def assert_fields_are(wm, entries):
+    """``field`` gives back each (role, ``FieldState``) entry working memory
+    was perceived from, editability included."""
+    for role, state in entries:
+        assert wm.field(role) == state
 
 
 # -- sessions driven by random actions ---------------------------------------
@@ -142,12 +148,14 @@ def test_derived_memory_equals_fresh_perception(script, mode, actions):
 def test_perception_equals_the_reference_constructor(script, mode, actions):
     session = TutorSession(script, mode)
     assert_same_memory(perceive(session), session_reference(session))
+    assert_fields_are(perceive(session), _entries(session.snapshot()))
     outcome = CORRECT
     for action, pick in actions:
         if (mode == "posttest" and outcome == ERROR) or session.next_step() is None:
             break
         _changed, outcome = _act(session, script, mode, action, pick)
         assert_same_memory(perceive(session), session_reference(session))
+        assert_fields_are(perceive(session), _entries(session.snapshot()))
         assert_next_step_is_the_first_empty_one(session, script)
 
 
@@ -244,8 +252,8 @@ def test_snapshots_in_any_order_equal_the_reference(case, data):
 _ROLES = ("a", "b", "c", "d")
 
 expressions = st.recursive(
-    st.one_of(st.sampled_from(_ROLES).map(Ref), st.integers(-4, 9).map(Lit)),
-    lambda sub: st.builds(Call, st.sampled_from(OPS), sub, sub),
+    st.one_of(st.sampled_from(_ROLES), st.integers(-4, 9)),
+    lambda sub: st.tuples(st.sampled_from(OPS), sub, sub),
     max_leaves=6)
 
 # Only an ``int`` binds a role: a Fraction, an operator symbol, a checked box
@@ -257,20 +265,21 @@ field_values = st.one_of(st.integers(-6, 12),
 
 def _rational(expr, values):
     """``evaluate`` as it was before exact integers: Fractions throughout."""
-    if isinstance(expr, Ref):
-        v = values.get(expr.role)
+    if type(expr) is str:
+        v = values.get(expr)
         return None if v is None else Fraction(v)
-    if isinstance(expr, Lit):
-        return Fraction(expr.value)
-    left = _rational(expr.left, values)
-    right = None if left is None else _rational(expr.right, values)
+    if type(expr) is int:
+        return Fraction(expr)
+    op, left, right = expr
+    left = _rational(left, values)
+    right = None if left is None else _rational(right, values)
     if right is None:
         return None
-    if expr.op == "add":
+    if op == "add":
         return left + right
-    if expr.op == "subtract":
+    if op == "subtract":
         return left - right
-    if expr.op == "multiply":
+    if op == "multiply":
         return left * right
     return None if right == 0 else left / right
 
@@ -278,9 +287,8 @@ def _rational(expr, values):
 @settings(max_examples=500, deadline=None)
 @given(expr=expressions, values=st.dictionaries(st.sampled_from(_ROLES), field_values))
 def test_evaluate_binds_only_int_fields(expr, values):
-    fields = {r: FieldState(r, v, True) for r, v in values.items()}
     bound = {r: v for r, v in values.items() if type(v) is int}
-    got = induction.evaluate(expr, fields)
+    got = induction.evaluate(expr, values)
     want = evaluate(expr, bound)
     assert got == want and type(got) is type(want)
     assert want == _rational(expr, bound)

@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from simtutor.induction import (
     MAX_DEPTH,
     OPS,
-    Call,
-    Lit,
-    Ref,
     Skill,
     _compose_level,
     _matching_keys,
@@ -72,14 +69,14 @@ def test_three_way_ambiguous_state_yields_exactly_three_explanations():
 def test_constant_fallback_only_when_no_field_explanation_exists():
     wm = make_wm(("a", 7),)
     out = explain(wm, SAI("t", "input_value", "99"))
-    assert out == [Lit(99)]
+    assert out == [99]
     assert explain(wm, SAI("t", "input_value", "99"), allow_constant=False) == []
 
 
 def test_empty_field_set_yields_the_constant_explanation():
     wm = make_wm(("op", "+"),)
     out = explain(wm, SAI("t", "input_value", "3"))
-    assert out == [Lit(3)]
+    assert out == [3]
 
 
 def test_minimal_depth_shadows_deeper_explanations():
@@ -152,19 +149,18 @@ def search_cases(draw):
         order = draw(st.permutations(range(len(values))))
         size = min(len(values), MAX_DEPTH + 1)
         roles = [f"f{i}" for i in order[:size]]
-        tree = Ref(roles[0])
+        tree = roles[0]
         if size >= 3 and values[order[1]] != 0 and draw(st.booleans()):
             multiple = draw(st.sampled_from((-3, -2, 2, 3)))
             values[order[2]] = values[order[1]] * multiple
-            tree = Call("multiply", Call("divide", tree, Ref(roles[1])),
-                        Ref(roles[2]))
+            tree = ("multiply", ("divide", tree, roles[1]), roles[2])
             roles = roles[3:]
         else:
             roles = roles[1:]
         for role in roles:
             op = draw(st.sampled_from(OPS))
-            tree = (Call(op, tree, Ref(role)) if draw(st.booleans())
-                    else Call(op, Ref(role), tree))
+            tree = ((op, tree, role) if draw(st.booleans())
+                    else (op, role, tree))
         value = evaluate(tree, {f"f{n}": Fraction(v) for n, v in enumerate(values)})
         if value is not None and value.denominator == 1:
             target = int(value)
@@ -210,7 +206,7 @@ def test_explanations_order_commutative_operands_by_rendering():
     # den2 is the first leaf, so the search keys the product den2 * den1.
     wm = make_wm(("den2", 3), ("den1", 2))
     out = explain(wm, SAI("t", "input_value", "6"))
-    assert out == [Call("multiply", Ref("den1"), Ref("den2"))]
+    assert out == [("multiply", "den1", "den2")]
     wm = make_wm(("b", 7), ("a", 3))
     assert [sexpr(e) for e in explain(wm, SAI("t", "input_value", "4"))] == \
         ["(subtract b a)"]
@@ -221,8 +217,7 @@ def test_explanations_order_commutative_operands_by_rendering():
 def test_generalize_conditions_start_with_the_full_observed_state():
     wm = make_wm(("num1", 1), ("den1", 2), ("op", "+"), ("num2", 1), ("den2", 3),
                  ("conv_den1", None), editable=("conv_den1",))
-    skill = generalize(Call("multiply", Ref("den1"), Ref("den2")), wm,
-                       "conv_den1", "s1")
+    skill = generalize(("multiply", "den1", "den2"), wm, "conv_den1", "s1")
     assert skill.target_role == "conv_den1"
     assert ("op_equals", "+") in skill.conditions
     assert ("denominators_differ",) in skill.conditions
@@ -235,27 +230,27 @@ def test_generalize_conditions_start_with_the_full_observed_state():
 def test_generalize_on_same_denominators_records_that_predicate():
     wm = make_wm(("num1", 1), ("den1", 4), ("op", "+"), ("num2", 2), ("den2", 4),
                  ("answer_num", None), editable=("answer_num",))
-    skill = generalize(Ref("num1"), wm, "answer_num", "s1")
+    skill = generalize("num1", wm, "answer_num", "s1")
     assert ("denominators_equal",) in skill.conditions
 
 
 def test_generalize_constant_explanation():
     wm = make_wm(("num1", 1), ("answer_den", None), editable=("answer_den",))
-    skill = generalize(Lit(2), wm, "answer_den", "s1")
-    assert skill.procedure == Lit(2)
+    skill = generalize(2, wm, "answer_den", "s1")
+    assert skill.procedure == 2
     assert skill.conditions == wm.predicates
 
 
 def test_generalize_rejects_absent_roles():
     wm = make_wm(("num1", 1), ("t", None), editable=("t",))
     with pytest.raises(InvariantError):
-        generalize(Call("add", Ref("num1"), Ref("ghost")), wm, "t", "s1")
+        generalize(("add", "num1", "ghost"), wm, "t", "s1")
 
 
 # -- refine_conditions -----------------------------------------------------
 
 def _skill(conditions, required=frozenset()):
-    return Skill("s1", "t", "input_value", Ref("num1"),
+    return Skill("s1", "t", "input_value", "num1",
                  frozenset(conditions), frozenset(required))
 
 
@@ -298,7 +293,7 @@ def test_conditions_only_shrink_over_correct_example_sequences():
                  ("den2", rng.randint(2, 12))]
         wm = make_wm(*pairs)
         if sk is None:
-            sk = Skill("s1", "t", "input_value", Ref("num1"), wm.predicates)
+            sk = Skill("s1", "t", "input_value", "num1", wm.predicates)
             previous = sk.conditions
             continue
         refine_conditions(sk, wm, True)
@@ -407,7 +402,7 @@ def test_stats_invariant_is_enforced():
 
 def test_skill_serialization_shape():
     sk = Skill("s7", "answer_num", "input_value",
-               Call("add", Ref("num1"), Ref("num2")),
+               ("add", "num1", "num2"),
                frozenset([("op_equals", "+")]), frozenset([("op_equals", "+")]),
                successes=3, attempts=4)
     d = sk.to_dict()
@@ -418,7 +413,7 @@ def test_skill_serialization_shape():
 
 
 def test_expr_roles_and_evaluation():
-    e = Call("divide", Ref("a"), Ref("b"))
+    e = ("divide", "a", "b")
     assert expr_roles(e) == {"a", "b"}
     assert evaluate(e, {"a": Fraction(7), "b": Fraction(2)}) == Fraction(7, 2)
     assert evaluate(e, {"a": Fraction(7), "b": Fraction(0)}) is None

@@ -52,6 +52,8 @@ def test_unknown_field_lookup_raises():
     wm = make_wm(("num1", 1))
     with pytest.raises(InvariantError):
         wm.field("ghost")
+    with pytest.raises(InvariantError):
+        wm.with_value("ghost", 1)
 
 
 def test_numeric_leaves_skip_symbols_checks_and_blanks():

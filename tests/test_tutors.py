@@ -310,6 +310,18 @@ def test_demonstrating_a_malformed_step_raises_before_locking_it():
     assert session.next_step() == script.canonical_steps[0]
 
 
+@pytest.mark.parametrize("token, value", [("12", 12), ("-3", -3), ("²5", "²5"),
+                                          ("--5", "--5"), ("05", "05"), ("1_0", "1_0")])
+def test_a_locked_entry_is_an_int_only_when_it_is_a_canonical_integer(token, value):
+    # The log reader's rule: an int is stored only when it renders as the token.
+    script = _script("add_same")._replace(
+        canonical_steps=(CanonicalStep("answer_num", "input_value", token),))
+    session = TutorSession(script, "training")
+    session.demonstrate()
+    assert session.value("answer_num") == value
+    assert type(session.value("answer_num")) is type(value)
+
+
 def test_demonstrate_is_a_protocol_error_at_posttest():
     session = TutorSession(_script(), "posttest")
     with pytest.raises(ProtocolError):
