@@ -14,7 +14,6 @@ from .state import (
     CORRECT,
     ERROR,
     HINT,
-    INPUT_VALUE,
     SAI,
     InvariantError,
     ProtocolError,
@@ -79,8 +78,8 @@ def _outranks(a: Skill, b: Skill) -> bool:
 def decide(wm: WorkingMemory, skills, excluded=frozenset()):
     """Best activation by utility, or None to request a demonstration.
 
-    Ties break on higher attempt count, then smallest skill id.  The step is
-    built for the winning candidate only.
+    Ties break on higher attempt count, then smallest skill id.  Only the
+    winner's step is built, its value rendered as input (none if structural).
     """
     best = None
     for cand in activations(wm, skills, excluded):
@@ -89,10 +88,8 @@ def decide(wm: WorkingMemory, skills, excluded=frozenset()):
     if best is None:
         return None
     skill, value = best
-    if skill.procedure is None:
-        return Activation(skill, SAI(skill.target_role, skill.action))
-    return Activation(skill, SAI(skill.target_role, INPUT_VALUE,
-                                 render_value(value)))
+    return Activation(skill, SAI(skill.target_role, skill.action,
+                                 None if value is None else render_value(value)))
 
 
 def apply_feedback(skills, activation: Activation, correct: bool,
@@ -115,13 +112,10 @@ class ProblemResult(NamedTuple):
 
 
 class Agent:
-    """A single simulated learner: a skill store plus deterministic id supply."""
+    """A single simulated learner: its skill store."""
 
     def __init__(self):
         self.skills: list[Skill] = []
-
-    def new_skill_id(self) -> str:
-        return f"s{len(self.skills) + 1:04d}"
 
     def skills_to_dicts(self):
         return [sk.to_dict() for sk in self.skills]
@@ -154,10 +148,11 @@ def run_problem(agent: Agent, session) -> ProblemResult:
             steps.append((step.role, HINT))
             if not training:
                 break
-            role, demo = session.demonstrate()
-            induce_from_demo(agent.skills, wm, demo, agent.new_skill_id)
+            sai = session.demonstrate()
+            induce_from_demo(agent.skills, wm, sai)
         else:
-            outcome = session.submit(act.proposed)
+            sai = act.proposed
+            outcome = session.submit(sai)
             steps.append((step.role, outcome))
             if training:
                 apply_feedback(agent.skills, act, outcome == CORRECT, wm)
@@ -166,8 +161,7 @@ def run_problem(agent: Agent, session) -> ProblemResult:
                     break
                 excluded.add(act.skill.skill_id)
                 continue
-            role = act.proposed.selection
         excluded.clear()
-        wm = wm.with_value(role, session.value(role))
+        wm = wm.with_value(sai.selection, session.value(sai.selection))
     return ProblemResult(all(outcome == CORRECT for _role, outcome in steps),
                          steps)

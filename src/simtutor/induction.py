@@ -254,14 +254,14 @@ def refine_conditions(skill: Skill, wm: WorkingMemory, correct: bool) -> Skill:
     return skill
 
 
-def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id):
+def induce_from_demo(skills, wm: WorkingMemory, demo: SAI):
     """Fold one tutor demonstration into the skill store.
 
     Any existing skill for the same field role and action whose procedure
     reproduces the demonstrated value is credited as a positive example.
     Otherwise the first explanation (in search order; the constant when
-    nothing else explains the value) is generalized into a new skill, which
-    is appended to ``skills`` and returned.
+    nothing else explains the value) is generalized into a new skill, numbered
+    from the store (``s0001`` first), then appended to ``skills`` and returned.
     """
     role = demo.selection
     if role not in wm.fields:
@@ -279,11 +279,12 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI, new_id):
     if credited:
         return None
 
+    skill_id = f"s{len(skills) + 1:04d}"
     if demo.action == INPUT_VALUE:
-        created = generalize(explain(wm, demo)[0], wm, role, new_id())
+        created = generalize(explain(wm, demo)[0], wm, role, skill_id)
     else:
         created = Skill(
-            skill_id=new_id(),
+            skill_id=skill_id,
             target_role=role,
             action=demo.action,
             procedure=None,

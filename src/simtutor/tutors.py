@@ -110,10 +110,20 @@ class ProblemScript(NamedTuple):
 
     @staticmethod
     def from_record(line: str) -> "ProblemScript":
+        """The script ``to_record`` wrote; ``ConfigError`` for a bad or repeated step."""
         raw = json.loads(line)
+        steps = tuple(CanonicalStep(*s) for s in raw["steps"])
+        for role, action, expected in steps:
+            try:
+                if SAI(role, action, expected).input is not None:
+                    parse_integer(expected)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"problem {raw['problem_id']!r} step {role!r}: {exc}") from None
+        if len({step.role for step in steps}) < len(steps):
+            raise ConfigError(f"problem {raw['problem_id']!r} repeats a step role")
         return ProblemScript(raw["problem_id"], raw["family"], raw["type"], raw["givens"],
-                             tuple(CanonicalStep(*s) for s in raw["steps"]),
-                             tuple(raw["tags"]), frozenset(raw["editable"]))
+                             steps, tuple(raw["tags"]), frozenset(raw["editable"]))
 
 
 class TutorSession:
@@ -151,60 +161,50 @@ class TutorSession:
                 return step
         return None
 
-    @staticmethod
-    def _matches(step: CanonicalStep, action: str, token) -> bool:
-        _role, step_action, expected = step
-        return action == step_action and (action != INPUT_VALUE or token == expected)
-
-    def _lock(self, step: CanonicalStep, token):
-        role, action, _expected = step
+    def _lock(self, sai: SAI):
+        role, _action, token = sai
         self._locked.add(role)
-        if action == INPUT_VALUE:
-            try:
-                self._values[role] = parse_integer(token)
-            except ValueError:
-                self._values[role] = token
-        else:
-            self._values[role] = True
+        try:  # a check or done step has no input, and its field reads True
+            self._values[role] = True if token is None else parse_integer(token)
+        except ValueError:
+            self._values[role] = token
 
     def submit(self, sai: SAI) -> str:
         """Judge one step: ``CORRECT`` locks it in, ``ERROR`` changes no field.
 
-        Training accepts only the next canonical step.  Posttest accepts any
-        unlocked step, with ``done`` last, and an ``ERROR`` ends the attempt.
+        Correct is equal to the next canonical step (training) or to any
+        unlocked one, ``done`` last (posttest, where ``ERROR`` ends the attempt).
         """
-        selection, action, token = sai
         step = self.next_step()
         if self._dead or step is None:
             raise ProtocolError("session is not accepting steps")
         locked = self._locked
         if self.mode == "training":
-            if selection in locked:
-                raise ProtocolError(f"field {selection!r} is locked")
-            ok = selection == step.role and self._matches(step, action, token)
+            if sai.selection in locked:
+                raise ProtocolError(f"field {sai.selection!r} is locked")
+            ok = sai == step
         else:
             steps = self.script.canonical_steps
-            step = next((s for s in steps if s.role == selection
-                         and s.role not in locked), None)
-            ok = step is not None and self._matches(step, action, token)
-            if ok and action == PRESS_DONE:
-                ok = all(s.role in locked for s in steps if s.role != selection)
+            ok = sai.selection not in locked and sai in steps
+            if ok and sai.action == PRESS_DONE:
+                ok = all(s.role in locked for s in steps if s.role != sai.selection)
             self._dead = not ok
         if not ok:
             return ERROR
-        self._lock(step, token)
+        self._lock(sai)
         return CORRECT
 
-    def demonstrate(self):
-        """Provide (and lock in) the next canonical step. Training only."""
+    def demonstrate(self) -> SAI:
+        """Lock in the next canonical step and return it as the ``SAI`` it
+        locked.  Training only."""
         if self.mode != "training":
             raise ProtocolError("demonstrations are unavailable at posttest")
         step = self.next_step()
         if step is None:
             raise ProtocolError("no step left to demonstrate")
         sai = SAI(*step)  # checked before the step is locked in
-        self._lock(step, step.expected)
-        return step.role, sai
+        self._lock(sai)
+        return sai
 
 
 def randbelow(rng, n: int) -> int:

@@ -5,9 +5,9 @@ sharing nothing with the production enumeration besides the canonical-string
 convention (commutative operands in sorted order).  ``evaluate`` and
 ``utility`` are the definition-level forms of what the agent computes by
 walking a procedure tree over its fields and by cross-multiplied integers.
-``materialized_explain`` is the order oracle for ``induction.explain``: the
-search as it ran before it scanned each depth first, building every level in
-full through ``induction._compose_level``.  ``csv_write_transactions`` is the
+``materialized_explain`` is the order oracle for ``induction.explain``: every
+level built in full from the documented search order, with its own keys,
+arithmetic and rendering.  ``csv_write_transactions`` is the
 byte reference for ``experiment.write_transactions``: ``csv.writer`` over
 each record's ``as_row()``.  ``csv_read_transactions`` is the reference for
 ``experiment.read_transactions``: ``csv.reader`` and ``_record`` over every
@@ -41,7 +41,7 @@ from simtutor.experiment import (
     _text,
     agent_condition,
 )
-from simtutor.induction import _compose_level, _tree, divide
+from simtutor.induction import divide
 from simtutor.state import (
     CORRECT,
     ERROR,
@@ -274,28 +274,55 @@ def utility(skill) -> Fraction:
 
 
 def materialized_explain(wm, demo, max_depth=2, allow_constant=True):
-    """``induction.explain`` as it was before its scan-first search.
+    """``induction.explain``'s result from its documented order alone.
 
-    Every depth is built in full through ``_compose_level``, values and all,
-    and then filtered for the target, so the result fixes the order in which
-    ``explain`` must return its trees.
+    Each depth is built in full, values and all, and then filtered for the
+    target.  Depth 0 is the numeric leaves in field order.  Depth ``d`` holds
+    every call whose deeper operand has depth ``d - 1``, over disjoint
+    leaves, in this order: operator (add, subtract, multiply, divide), then
+    (left depth, right depth) pairs in ascending order, then the left
+    operand's position in its depth, then the right operand's.  A
+    commutative call keeps one operand order only: the one whose left
+    operand comes first by (depth, position).  A call whose value is
+    undefined (a zero divisor) is left out.  Each tree found is rendered
+    with commutative operands in text order, and the first of any two that
+    render alike is kept.  Keys, arithmetic and rendering are this oracle's
+    own, so the result fixes the order in which ``explain`` must return its
+    trees independently of how ``induction`` builds them.
     """
     if demo.action != INPUT_VALUE:
         return []
     target = int(demo.input)
-    leaves = wm.numeric_leaves()
-    levels = [[((0, i), 1 << i, val) for i, (_role, val) in enumerate(leaves)]]
+    # An entry is (rank, leaf set, value, tree, text); rank is (depth, position).
+    levels = [[((0, i), frozenset((i,)), Fraction(value), role, role)
+               for i, (role, value) in enumerate(wm.numeric_leaves())]]
     for d in range(max_depth + 1):
         if d > 0:
-            levels.append(_compose_level(levels, d))
+            level = []
+            for op, fn in _OPS.items():
+                for dl, dr in sorted(itertools.product(range(d), repeat=2)):
+                    if max(dl, dr) != d - 1:
+                        continue
+                    for left in levels[dl]:
+                        for right in levels[dr]:
+                            if left[1] & right[1]:
+                                continue
+                            if op in _COMMUTATIVE and right[0] < left[0]:
+                                continue
+                            value = fn(left[2], right[2])
+                            if value is None:
+                                continue
+                            lt, ltext, rt, rtext = left[3], left[4], right[3], right[4]
+                            if op in _COMMUTATIVE and rtext < ltext:
+                                lt, ltext, rt, rtext = rt, rtext, lt, ltext
+                            level.append(((d, len(level)), left[1] | right[1], value,
+                                          (op, lt, rt), f"({op} {ltext} {rtext})"))
+            levels.append(level)
         found, seen = [], set()
-        for key, _used, val in levels[d]:
-            if val != target:
-                continue
-            canon, token = _tree(key, leaves)
-            if token not in seen:
-                seen.add(token)
-                found.append(canon)
+        for _rank, _leaves, value, tree, text in levels[d]:
+            if value == target and text not in seen:
+                seen.add(text)
+                found.append(tree)
         if found:
             return found
     if allow_constant:
@@ -368,7 +395,7 @@ def _reference_problem(skills, session):
             steps.append((step.role, HINT))
             if not training:
                 break
-            _role, demo = session.demonstrate()
+            demo = session.demonstrate()
             target = int(demo.input) if demo.action == INPUT_VALUE else ""
             credited = [sk for sk in skills if sk.target_role == demo.selection
                         and sk.action == demo.action and _reference_value(sk, wm) == target]

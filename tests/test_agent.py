@@ -303,7 +303,8 @@ def test_run_agent_equals_the_reference_agent(study, seed, replication, agent_in
 
 _AGENT_STEPS = {agent_module: ("activations", "decide", "apply_feedback", "perceive",
                                "induce_from_demo", "refine_conditions"),
-                induction: ("explain", "induce_from_demo", "refine_conditions")}
+                induction: ("explain", "induce_from_demo", "refine_conditions",
+                            "_compose_level", "_matching_keys", "_operands", "_tree")}
 
 
 def test_the_reference_agent_calls_none_of_the_agents_steps(monkeypatch):

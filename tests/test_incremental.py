@@ -105,8 +105,7 @@ def assert_next_step_is_the_first_empty_one(session, script):
 def _act(session, script, mode, action, pick):
     """Apply one drawn action; returns (the role it changed or None, outcome)."""
     if action == "demo" and mode == "training":
-        changed, _demo = session.demonstrate()
-        return changed, CORRECT
+        return session.demonstrate().selection, CORRECT
     if mode == "training":
         step = session.next_step()
     else:  # posttest accepts any unlocked step, in any order

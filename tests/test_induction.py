@@ -174,6 +174,7 @@ def search_cases(draw):
 @example(case=([2, 7], 99, True))         # the constant
 @example(case=([2, 7], 99, False))        # nothing
 @example(case=([2, 3, 5, 7], 77, True))   # depth 3 only: the constant
+@example(case=([1, 1, 5], 3, True))       # (leaf, call) before (call, leaf)
 def test_explain_keeps_the_materialized_order(case):
     # The brute-force property compares sets; this one pins the order too,
     # which decides the first explanation and so the skill that is learned.
@@ -200,6 +201,17 @@ def test_scan_keeps_the_matching_keys_of_the_build(values, target):
         assert _matching_keys(levels, d, target) == [
             key for key, _used, value in built if value == target]
         levels.append(built)
+
+
+def test_depth_two_explanations_run_by_operand_depths():
+    # 3 = 5 - (1 + 1) pairs a leaf with a call, so it comes before the two
+    # (call, leaf) trees of the same operator, and it is the one learned.
+    wm = make_wm(("a", 1), ("b", 1), ("c", 5))
+    demo = SAI("t", "input_value", "3")
+    expected = ["(subtract c (add a b))", "(subtract (subtract c a) b)",
+                "(subtract (subtract c b) a)"]
+    assert [sexpr(e) for e in materialized_explain(wm, demo)] == expected
+    assert [sexpr(e) for e in explain(wm, demo)] == expected
 
 
 def test_explanations_order_commutative_operands_by_rendering():
@@ -304,22 +316,11 @@ def test_conditions_only_shrink_over_correct_example_sequences():
 
 # -- induce_from_demo ------------------------------------------------------
 
-def _id_factory():
-    count = [0]
-
-    def make():
-        count[0] += 1
-        return f"s{count[0]:04d}"
-
-    return make
-
-
 def test_first_demonstration_creates_exactly_one_skill():
     wm = make_wm(("den1", 2), ("den2", 3), ("conv_den1", None),
                  editable=("conv_den1",))
     skills = []
-    created = induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"),
-                               _id_factory())
+    created = induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
     assert created is not None and len(skills) == 1
     assert sexpr(created.procedure) == "(multiply den1 den2)"
 
@@ -328,12 +329,10 @@ def test_demonstration_matching_existing_skill_credits_it():
     wm = make_wm(("den1", 2), ("den2", 3), ("conv_den1", None),
                  editable=("conv_den1",))
     skills = []
-    make_id = _id_factory()
-    induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"), make_id)
+    induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
     wm2 = make_wm(("den1", 3), ("den2", 4), ("conv_den1", None),
                   editable=("conv_den1",))
-    created = induce_from_demo(skills, wm2, SAI("conv_den1", "input_value", "12"),
-                               make_id)
+    created = induce_from_demo(skills, wm2, SAI("conv_den1", "input_value", "12"))
     assert created is None and len(skills) == 1
     assert (skills[0].successes, skills[0].attempts) == (1, 1)
 
@@ -342,11 +341,10 @@ def test_demo_credit_requires_matching_target_role():
     wm = make_wm(("den1", 2), ("den2", 3), ("conv_den1", None), ("conv_den2", None),
                  editable=("conv_den1", "conv_den2"))
     skills = []
-    make_id = _id_factory()
-    induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"), make_id)
-    created = induce_from_demo(skills, wm, SAI("conv_den2", "input_value", "6"),
-                               make_id)
+    induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
+    created = induce_from_demo(skills, wm, SAI("conv_den2", "input_value", "6"))
     assert created is not None and len(skills) == 2
+    assert [sk.skill_id for sk in skills] == ["s0001", "s0002"]  # numbered from the store
 
 
 def test_product_rule_is_induced_when_it_is_the_unique_explanation():
@@ -355,31 +353,27 @@ def test_product_rule_is_induced_when_it_is_the_unique_explanation():
     assert oracle_depth == 1 and oracle_set == {"(multiply den1 den2)"}
     wm = make_wm(*pairs, ("conv_den1", None), editable=("conv_den1",))
     skills = []
-    created = induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"),
-                               _id_factory())
+    created = induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
     assert sexpr(created.procedure) == "(multiply den1 den2)"
 
 
 def test_structural_demo_builds_a_procedure_free_skill():
     wm = make_wm(("num1", 1), ("convert_check", None), editable=("convert_check",))
     skills = []
-    created = induce_from_demo(skills, wm, SAI("convert_check", "check_box"),
-                               _id_factory())
+    created = induce_from_demo(skills, wm, SAI("convert_check", "check_box"))
     assert created.procedure is None and created.action == "check_box"
 
 
 def test_skill_store_growth_is_bounded_by_demonstrations():
     rng = random.Random(2)
     skills = []
-    make_id = _id_factory()
     demos = 0
     for _ in range(60):
         pairs = [("num1", rng.randint(1, 9)), ("den1", rng.randint(2, 12)),
                  ("num2", rng.randint(1, 9)), ("den2", rng.randint(2, 12))]
         wm = make_wm(*pairs, ("answer_num", None), editable=("answer_num",))
         value = rng.choice([pairs[0][1] + pairs[2][1], pairs[0][1] * pairs[2][1]])
-        induce_from_demo(skills, wm, SAI("answer_num", "input_value", str(value)),
-                         make_id)
+        induce_from_demo(skills, wm, SAI("answer_num", "input_value", str(value)))
         demos += 1
         assert len(skills) <= demos
 

@@ -1,4 +1,5 @@
-"""Static checks on the package source, read with the standard ``ast`` module."""
+"""Static checks on the package source, read with the standard ``ast`` module:
+no unused import, and no private name that nothing reads."""
 from __future__ import annotations
 
 import ast
@@ -25,6 +26,55 @@ def unused_imports(source):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dead_private_names(sources):
+    """(module, line, name) of every non-dunder ``_name`` that a module of
+    ``sources`` (module -> source) defines as a function, method or class, or
+    assigns at module or class level, and that no module reads: a read is a
+    loaded ``Name`` or an attribute of that name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)]
+                else:
+                    continue
+                defined += [(module, node.lineno, n) for n in names if _is_private(n)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_dead_private_names_are_found():
+    source = ("_USED, _DEAD = 1, 2\n__version__ = '1'\n"
+              "def _helper():\n    return _USED\n"
+              "def _orphan():\n    pass\n"
+              "class _Box:\n    _slot: int = 0\n    _kept = 1\n"
+              "    def _method(self):\n        return self._kept\n"
+              "    def __repr__(self):\n        return ''\n"
+              "def main():\n    return _helper(), _Box\n")
+    other = "from . import a\na._orphan()\ndef _local():\n    _unused = 3\n"
+    assert dead_private_names({"a": source, "b": other}) == [
+        ("a", 1, "_DEAD"), ("a", 8, "_slot"), ("a", 10, "_method"), ("b", 3, "_local")]
+
+
+def test_no_private_name_is_defined_and_never_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
 
 
 def test_unused_imports_are_found():

@@ -1,6 +1,7 @@
 """Problem generators, session feedback contract, and the candidate oracle."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -290,12 +291,12 @@ def test_answer_before_conversion_is_incorrect():
 
 def test_demonstrations_follow_canonical_order():
     session = TutorSession(_script("add_diff"), "training")
-    role, sai = session.demonstrate()
-    assert role == "convert_check" and sai.action == "check_box"
+    sai = session.demonstrate()
+    assert sai == ("convert_check", "check_box", None)
     for _ in range(4):
         session.demonstrate()
-    role, sai = session.demonstrate()
-    assert role == "answer_num"
+    sai = session.demonstrate()
+    assert sai.selection == "answer_num"
     expected = next(s.expected for s in session.script.canonical_steps
                     if s.role == "answer_num")
     assert sai.input == expected
@@ -372,6 +373,31 @@ def _generate(kind, rng, problem_id):
 def test_script_records_round_trip(kind, seed):
     s = _generate(kind, random.Random(seed), f"p{seed}")
     assert ProblemScript.from_record(s.to_record()) == s
+
+
+@pytest.mark.parametrize("step, message", [
+    (["answer_num", "poke", "5"], "unknown action 'poke'"),
+    (["done", "press_done", "5"], "input is present iff"),
+    (["answer_num", "input_value", None], "input is present iff"),
+    (["answer_num", "input_value", "05"], "non-canonical integer '05'"),
+    (["answer_num", "input_value", "five"], "invalid literal"),
+])
+def test_a_record_whose_step_no_agent_can_enter_is_rejected(step, message):
+    # The agent proposes only checked steps with canonical tokens, and the
+    # tutor judges by equality, so such a step would fail in every item.
+    record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
+    record["steps"] = [step if s[0] == step[0] else s for s in record["steps"]]
+    with pytest.raises(ConfigError, match=f"problem 'p7' step '{step[0]}': {message}"):
+        ProblemScript.from_record(json.dumps(record))
+
+
+def test_a_record_that_repeats_a_step_role_is_rejected():
+    # The tutor judges a step by equality with the canonical step of its
+    # role, so each role names one step.
+    record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
+    record["steps"].insert(1, ["answer_num", "input_value", "999"])
+    with pytest.raises(ConfigError, match="problem 'p7' repeats a step role"):
+        ProblemScript.from_record(json.dumps(record))
 
 
 def test_step_records_are_checked_named_tuples_that_survive_round_trips():
@@ -481,7 +507,7 @@ class SessionMachine(RuleBasedStateMachine):
                 self.session.demonstrate()
             return
         step = self._unlocked()[0]
-        assert self.session.demonstrate() == (step.role, _canonical(step))
+        assert self.session.demonstrate() == _canonical(step)
         self.locked[step.role] = self.session.value(step.role)
 
     @precondition(lambda self: not self._open())
