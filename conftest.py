@@ -9,14 +9,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent / "tests"))
 
 @pytest.fixture
 def outcome_builds(monkeypatch):
-    """Every problem-outcome build from here on, as (phase, log) in order."""
+    """Every outcome-cell build through ``analytics.problem_outcomes`` from
+    here on, as (phase, records) in order."""
     from simtutor import analytics
 
-    builds, build = [], analytics._outcomes
+    builds, build = [], analytics.problem_outcomes
 
-    def counted(log, phase):
-        builds.append((phase, log))
-        return build(log, phase)
+    def counted(records, phase="tutor"):
+        builds.append((phase, records))
+        return build(records, phase)
 
-    monkeypatch.setattr(analytics, "_outcomes", counted)
+    monkeypatch.setattr(analytics, "problem_outcomes", counted)
     return builds

@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,16 +31,6 @@ class SeparationError(RuntimeError):
 
 class DesignError(ValueError):
     """The design matrix is empty or rank deficient."""
-
-
-class ProblemOutcome(NamedTuple):
-    replication: int
-    agent_id: str
-    condition: str
-    problem_type: str
-    opportunity: int
-    position: int  # 1-based index within the agent's phase
-    correct: bool
 
 
 @dataclass(frozen=True)
@@ -90,14 +79,16 @@ class RegressionSummary:
 
 
 def problem_outcomes(records, phase: str = "tutor"):
-    """One outcome per problem of a log or its rows, from its first entry,
-    contiguous or not.  A new list on every call, and nothing is kept: the
-    summaries read the log's outcome-cell counts instead."""
-    return list(map(ProblemOutcome._make, _problems(TransactionLog.of(records), phase)))
+    """The problems of ``phase`` in a log or its rows, counted by (condition,
+    problem_type, opportunity, position, correct): the cells every summary
+    reads.  A problem is its key's first entry, contiguous or not, and its
+    position is its 1-based index within the agent's phase.  A new
+    ``Counter`` on every call; ``_tally`` keeps one per log and phase."""
+    return Counter(_problems(TransactionLog.of(records), phase))
 
 
 def _problems(log, phase):
-    """The fields of each problem's ``ProblemOutcome``, in log order."""
+    """The cell of each problem of ``phase``, in log order."""
     sets, rep, agent = {}, None, None
     for (agent_id, replication, condition, rec_phase, problem_id, problem_type,
          opportunity, correct, _steps) in log.entries:
@@ -108,14 +99,7 @@ def _problems(log, phase):
             seen = sets.setdefault((rep, agent), set())  # a position is its size
         if problem_id not in seen:
             seen.add(problem_id)
-            yield (replication, agent_id, condition, problem_type, opportunity,
-                   len(seen), correct)
-
-
-def _outcomes(log, phase):
-    """The problems of ``phase`` counted by (condition, problem_type,
-    opportunity, position, correct): the cells every summary reads."""
-    return Counter(map(itemgetter(2, 3, 4, 5, 6), _problems(log, phase)))
+            yield condition, problem_type, opportunity, len(seen), correct
 
 
 def _tally(records, phase, fields):
@@ -123,7 +107,7 @@ def _tally(records, phase, fields):
     the cell fields at indexes ``fields``; each log keeps its cells by phase."""
     log = TransactionLog.of(records)
     if phase not in log.outcomes:
-        log.outcomes[phase] = _outcomes(log, phase)
+        log.outcomes[phase] = problem_outcomes(log, phase)
     key, totals, good = itemgetter(*fields), Counter(), Counter()
     for cell, n in log.outcomes[phase].items():
         totals[key(cell)] += n
@@ -265,15 +249,17 @@ def fit_logit(X, y, names, weights=None):
                              ll_history=history)
 
 
-def build_design(problems, terms):
-    """Design matrix from problem outcomes. Reference levels: the blocked /
-    constrained condition and the different-denominator addition type."""
-    if not problems:
+def build_design(cells, terms):
+    """Design matrix with one row per (condition, problem_type, opportunity,
+    correct) cell.  Reference levels: the blocked / constrained condition and
+    the different-denominator addition type."""
+    if not cells:
         raise DesignError("no problem outcomes to fit")
+    condition, problem_type, opportunity, correct = zip(*cells)
     names = ["Intercept"]
-    cols = [np.ones(len(problems))]
-    conditions = sorted({p.condition for p in problems})
-    types = sorted({p.problem_type for p in problems})
+    cols = [np.ones(len(cells))]
+    conditions = sorted(set(condition))
+    types = sorted(set(problem_type))
     if "condition" in terms and len(conditions) > 1:
         ref = next((ref for ref in CONDITION_REFERENCES if ref in conditions),
                    conditions[0])
@@ -281,20 +267,18 @@ def build_design(problems, terms):
             if level == ref:
                 continue
             names.append(f"condition[{level}]")
-            cols.append(np.array([1.0 if p.condition == level else 0.0
-                                  for p in problems]))
+            cols.append(np.array([float(c == level) for c in condition]))
     type_dummies = []
     if "type" in terms and len(types) > 1:
         ref = TYPE_REFERENCE if TYPE_REFERENCE in types else types[0]
         for level in types:
             if level == ref:
                 continue
-            col = np.array([1.0 if p.problem_type == level else 0.0
-                            for p in problems])
+            col = np.array([float(t == level) for t in problem_type])
             names.append(f"type[{level}]")
             cols.append(col)
             type_dummies.append((level, col))
-    count = np.array([float(p.opportunity) for p in problems])
+    count = np.array(opportunity, dtype=float)
     if "count" in terms:
         names.append("count")
         cols.append(count)
@@ -302,9 +286,7 @@ def build_design(problems, terms):
         for level, col in type_dummies:
             names.append(f"type[{level}]:count")
             cols.append(col * count)
-    X = np.column_stack(cols)
-    y = np.array([1.0 if p.correct else 0.0 for p in problems])
-    return X, y, names
+    return np.column_stack(cols), np.array(correct, dtype=float), names
 
 
 def fit_logistic(records, phase: str = "tutor",
@@ -315,9 +297,7 @@ def fit_logistic(records, phase: str = "tutor",
     fitted on one row per distinct cell, weighted by its count."""
     counts, _good = _tally(records, phase, (0, 1, 2, 4))  # all but position
     cells = sorted(counts)
-    X, y, names = build_design(
-        [ProblemOutcome(0, "", condition, problem_type, opportunity, 0, correct)
-         for condition, problem_type, opportunity, correct in cells], terms)
+    X, y, names = build_design(cells, terms)
     return fit_logit(X, y, names, weights=[counts[cell] for cell in cells])
 
 

@@ -78,7 +78,7 @@ def _load_config_file(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # undecodable bytes, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, not JSON, deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw:
         raw = raw["config"]  # accept a manifest as a config source

@@ -110,11 +110,17 @@ class ProblemScript(NamedTuple):
 
     @staticmethod
     def from_record(line: str) -> "ProblemScript":
-        """The script ``to_record`` wrote; ``ConfigError`` for a bad or repeated step."""
+        """The script ``to_record`` wrote; ``ConfigError`` for a bad family or step."""
         raw = json.loads(line)
         steps = tuple(CanonicalStep(*s) for s in raw["steps"])
+        if raw["family"] not in FAMILIES:
+            raise ConfigError(f"problem {raw['problem_id']!r}: unknown tutor family "
+                              f"{raw['family']!r}")
+        editable = set(FAMILIES[raw["family"]].layout).intersection(raw["editable"])
         for role, action, expected in steps:
             try:
+                if role not in editable:
+                    raise ValueError(f"no editable {raw['family']!r} field has this role")
                 if SAI(role, action, expected).input is not None:
                     parse_integer(expected)
             except (TypeError, ValueError) as exc:

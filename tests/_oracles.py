@@ -14,11 +14,12 @@ each record's ``as_row()``.  ``csv_read_transactions`` is the reference for
 row, with no column-wise decoding.  ``reference_memory`` is working memory
 as its definition states it, built field by field with no shape cache.
 ``reference_fit`` is the row-level form of the log-level models: one design
-row per problem, each counted once.  ``row_problem_outcomes``,
-``row_filter_hard`` and ``first_rows`` are the row-level collapse, hard-item
-filter and first-row pass that the analytics ran on lists of step records
-before the log was stored one entry per problem, and ``row_outcome_cells``
-counts that collapse into the cells the summaries read.  ``reference_run_agent`` is
+row per problem of ``row_problem_outcomes``, each counted once.
+``row_problem_outcomes``, ``row_filter_hard`` and ``first_rows`` are the
+row-level collapse, hard-item filter and first-row pass that the analytics
+ran on lists of step records before the log was stored one entry per
+problem, and ``row_outcome_cells`` counts that collapse into the cells that
+``analytics.problem_outcomes`` counts.  ``reference_run_agent`` is
 the plain agent that ``experiment.run_agent`` must equal, entry for entry:
 built from the oracles above, with fresh perception at every step and its
 own refinement and demonstration credit.
@@ -31,8 +32,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
-from simtutor.analytics import ProblemOutcome, build_design, fit_logit, problem_outcomes
+from simtutor.analytics import build_design, fit_logit
 from simtutor.experiment import (
     COLUMNS,
     _generate_sets,
@@ -160,13 +162,24 @@ def csv_read_transactions(path):
     raise ConfigError(f"unexpected transaction header in {path}")
 
 
+class Problem(NamedTuple):
+    """One problem of a log, as the row-level collapse gives it."""
+    replication: int
+    agent_id: str
+    condition: str
+    problem_type: str
+    opportunity: int
+    position: int  # 1-based index within the agent's phase
+    correct: bool
+
+
 def reference_problem_outcomes(records, phase):
     """Problem outcomes straight from the definition, in quadratic time.
 
     A problem is a (replication, agent, problem) key of a row in ``phase``;
     its first row supplies the fields, and its position is the number of
     distinct problems that agent has shown in the phase up to that row.
-    Returns plain tuples in ``analytics.ProblemOutcome`` field order.
+    Returns plain tuples in ``Problem`` field order.
     """
     rows = [r for r in records if r.phase == phase]
     out = []
@@ -198,15 +211,22 @@ def row_problem_outcomes(records, phase="tutor"):
         seen.add(key)
         agent_key = (replication, agent_id)
         position = positions[agent_key] = positions.get(agent_key, 0) + 1
-        out.append(ProblemOutcome(replication, agent_id, condition, problem_type,
-                                  opportunity, position, correct))
+        out.append(Problem(replication, agent_id, condition, problem_type,
+                           opportunity, position, correct))
     return out
 
 
-def row_outcome_cells(log, phase):
-    """The outcome cells that ``analytics._outcomes`` counts, from the
-    row-level collapse of the log's rows."""
-    return Counter(outcome[2:] for outcome in row_problem_outcomes(log, phase))
+def row_outcome_cells(records, phase="tutor"):
+    """The outcome cells that ``analytics.problem_outcomes`` counts, from the
+    row-level collapse of the rows."""
+    return Counter(outcome[2:] for outcome in row_problem_outcomes(records, phase))
+
+
+def row_design_cells(records, phase="tutor"):
+    """One (condition, problem_type, opportunity, correct) design cell per
+    problem of the row-level collapse, in log order."""
+    return [(p.condition, p.problem_type, p.opportunity, p.correct)
+            for p in row_problem_outcomes(records, phase)]
 
 
 def row_filter_hard(records):
@@ -234,7 +254,7 @@ def first_rows(records):
 def reference_fit(records, phase, terms):
     """A log-level model fitted on one design row per problem, unweighted;
     ``analytics.fit_logistic`` must give the same fit from counted cells."""
-    return fit_logit(*build_design(problem_outcomes(records, phase), terms))
+    return fit_logit(*build_design(row_design_cells(records, phase), terms))
 
 
 def evaluate(expr, values):

@@ -2,6 +2,7 @@
 against the plain reference agent of ``_oracles``."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,7 +22,15 @@ from simtutor.agent import (
     perceive,
     run_problem,
 )
-from simtutor.experiment import _generate_sets, box_arrows_config, fractions_config, run_agent
+from simtutor.experiment import (
+    _generate_sets,
+    box_arrows_config,
+    dump_problem_sets,
+    fractions_config,
+    run_agent,
+    run_study,
+    write_transactions,
+)
 from simtutor.induction import Skill
 from simtutor.state import (
     CORRECT,
@@ -34,6 +43,7 @@ from simtutor.state import (
 )
 from simtutor.tutors import (
     FRACTION_FAMILY,
+    ProblemScript,
     TutorFamily,
     TutorSession,
     gen_fraction_problem,
@@ -287,18 +297,68 @@ def test_identical_seeds_give_identical_transcripts():
 
 # -- whole agents against the reference agent ---------------------------------
 
+_CONVERSION = frozenset(("convert_check", "conv_num1", "conv_den1", "conv_num2",
+                         "conv_den2"))
+
+
+def _no_convert(script):
+    """``script`` without an ``add_diff`` item's five conversion steps and
+    fields: its answer numerator is then only explained at depth 2, as
+    ``(add (multiply num1 den2) (multiply num2 den1))``."""
+    if script.problem_type != "add_diff":
+        return script
+    return script._replace(
+        canonical_steps=tuple(s for s in script.canonical_steps
+                              if s.role not in _CONVERSION),
+        editable_roles=script.editable_roles - _CONVERSION)
+
+
 @settings(max_examples=40, deadline=None)
 @given(study=st.sampled_from((fractions_config, box_arrows_config)),
        seed=st.integers(0, 10_000), replication=st.integers(0, 9),
-       agent_index=st.integers(0, 7), data=st.data())
-def test_run_agent_equals_the_reference_agent(study, seed, replication, agent_index, data):
+       agent_index=st.integers(0, 7),
+       shape=st.sampled_from(("stock", "no-convert")), data=st.data())
+def test_run_agent_equals_the_reference_agent(study, seed, replication, agent_index,
+                                              shape, data):
     config = study(seed=seed)
     problems = None
+    if shape == "no-convert":
+        problems = tuple([_no_convert(s) for s in scripts]
+                         for scripts in _generate_sets(config, replication, agent_index))
     if data.draw(st.booleans(), label="reorder training"):
-        pretrain, training, posttest = _generate_sets(config, replication, agent_index)
+        pretrain, training, posttest = problems or _generate_sets(
+            config, replication, agent_index)
         problems = pretrain, data.draw(st.permutations(training)), posttest
     assert run_agent(config, replication, agent_index, problems).entries == \
         reference_run_agent(config, replication, agent_index, problems)
+
+
+def _depth(tree):
+    return 1 + max(map(_depth, tree[1:])) if isinstance(tree, tuple) else 0
+
+
+# The sha256 of the transactions.csv of 8 agents x 1 replication of the
+# fractions study at seed 7, replayed with every add_diff item written and
+# read back without its conversion steps.
+NO_CONVERT_DIGEST = "75cac8cc9b510532b60642196abe3bb9d8977c218beb259513fee37cfd8a88c3"
+
+
+def test_a_no_convert_replay_matches_its_golden_digest(tmp_path, monkeypatch):
+    config = fractions_config(n_agents=8, replications=1, seed=7)
+    sets = {cell: tuple([ProblemScript.from_record(_no_convert(s).to_record())
+                         for s in scripts] for scripts in groups)
+            for cell, groups in dump_problem_sets(config).items()}
+    depths, explain = [], induction.explain
+
+    def recorded(*args):
+        found = explain(*args)
+        depths.extend(map(_depth, found))
+        return found
+    monkeypatch.setattr(induction, "explain", recorded)
+    path = tmp_path / "transactions.csv"
+    write_transactions(path, run_study(config, problem_sets=sets))
+    assert max(depths) == 2
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == NO_CONVERT_DIGEST
 
 
 _AGENT_STEPS = {agent_module: ("activations", "decide", "apply_feedback", "perceive",

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -45,9 +46,9 @@ from _oracles import (
     first_rows,
     reference_fit,
     reference_problem_outcomes,
+    row_design_cells,
     row_filter_hard,
     row_outcome_cells,
-    row_problem_outcomes,
 )
 
 
@@ -138,11 +139,17 @@ _colliding_records = st.builds(
     problem_correct=st.booleans())
 
 
+def _cells(problems):
+    """The outcome cells of per-problem reference tuples."""
+    return Counter(problem[2:] for problem in problems)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_colliding_records, max_size=30))
 def test_problem_outcomes_match_the_reference(rows):
     for phase in ("tutor", "posttest"):
-        assert problem_outcomes(rows, phase) == reference_problem_outcomes(rows, phase)
+        assert problem_outcomes(rows, phase) == \
+            _cells(reference_problem_outcomes(rows, phase))
 
 
 def test_non_contiguous_problem_rows_collapse_to_the_first():
@@ -150,9 +157,8 @@ def test_non_contiguous_problem_rows_collapse_to_the_first():
     rows = [record("a0", "p0", False), record("a0", "p0", False),
             record("a0", "p1", True, ptype="multiply"),
             record("a0", "p0", True, opportunity=5)]
-    assert [(p.problem_type, p.position, p.correct, p.opportunity)
-            for p in problem_outcomes(rows)] == \
-        [("add_same", 1, False, 0), ("multiply", 2, True, 0)]
+    assert problem_outcomes(rows) == Counter({("blocked", "add_same", 0, 1, False): 1,
+                                              ("blocked", "multiply", 0, 2, True): 1})
 
 
 def _drawn_row(rep, agent, problem, phase, ptype, correct, opportunity):
@@ -202,7 +208,8 @@ def test_first_rows_give_every_summary_the_whole_log(rows, grouped):
         firsts.setdefault(_problem_key(r), r)
     assert [id(r) for r in first] == [id(r) for r in firsts.values()]
     for phase in ("tutor", "posttest"):
-        assert problem_outcomes(first, phase) == problem_outcomes(rows, phase)
+        assert problem_outcomes(first, phase) == problem_outcomes(rows, phase) == \
+            _cells(reference_problem_outcomes(rows, phase))
         assert problem_outcomes(filter_hard(first), phase) == \
             problem_outcomes(filter_hard(rows), phase)
     assert {r.problem_type for r in first} == {r.problem_type for r in rows}
@@ -221,34 +228,37 @@ def _two_phase_rows():
 
 def test_outcomes_are_built_once_per_log_and_phase(outcome_builds):
     log = TransactionLog.of(_two_phase_rows())
-    tutor = problem_outcomes(log, "tutor")
-    assert [(p.agent_id, p.position, p.correct) for p in tutor] == \
-        [("a0", 1, True), ("a1", 1, False), ("a0", 2, False)]
-    assert tutor == reference_problem_outcomes(_two_phase_rows(), "tutor")
     learning_curve(log)
     accuracy_by_condition(log)
     accuracy_by_condition(log, "posttest")
-    assert problem_outcomes(log, "posttest") == \
-        reference_problem_outcomes(_two_phase_rows(), "posttest")
-    assert problem_outcomes(log, "tutor") == tutor
+    fit_logistic(log, terms=())
     assert [phase for phase, _log in outcome_builds] == ["tutor", "posttest"]
     assert all(built is log for _phase, built in outcome_builds)
-    # problem_outcomes collapses the log anew on every call and never fills
-    # the memo, on a log or on a list of rows.
+    assert log.outcomes == {
+        "tutor": Counter({("blocked", "add_same", 0, 1, True): 1,
+                          ("interleaved", "add_same", 0, 1, False): 1,
+                          ("blocked", "add_same", 0, 2, False): 1}),
+        "posttest": Counter({("blocked", "add_same", 0, 1, True): 1,
+                             ("interleaved", "add_same", 0, 1, False): 1})}
+    # A plain list of rows becomes a new log, and is counted anew, each call.
     rows = _two_phase_rows()
-    assert problem_outcomes(rows) == problem_outcomes(rows) == tutor
-    assert len(outcome_builds) == 2
+    accuracy_by_condition(rows)
+    accuracy_by_condition(rows)
+    assert [phase for phase, _log in outcome_builds[2:]] == ["tutor", "tutor"]
+    assert outcome_builds[2][1] is not outcome_builds[3][1]
 
 
-def test_each_call_returns_a_new_list():
+def test_each_call_returns_a_new_counter():
     log = TransactionLog.of(_two_phase_rows())
+    accuracy = accuracy_by_condition(log)  # fills the memo
     first = problem_outcomes(log)
-    expected = list(first)
-    first.reverse()
-    first.append(first[0])
+    assert first == log.outcomes["tutor"] and first is not log.outcomes["tutor"]
+    expected = Counter(first)
+    first.clear()
     second = problem_outcomes(log)
     assert second == expected and second is not first
     assert problem_outcomes(log) is not second
+    assert accuracy_by_condition(log) == accuracy
 
 
 def test_the_memo_never_crosses_a_pickle():
@@ -265,7 +275,7 @@ def test_the_memo_never_crosses_a_pickle():
     blob = pickle.dumps(cell)
     assert learning_curve(cell) and cell.outcomes
     assert pickle.dumps(cell) == blob
-    assert b"TrialRecord" not in blob and b"ProblemOutcome" not in blob
+    assert b"TrialRecord" not in blob
 
 
 def test_filter_hard_returns_a_log_of_hard_problems_as_it_is():
@@ -498,7 +508,7 @@ def test_a_tie_between_diverging_terms_names_the_first_in_design_order():
     with pytest.raises(SeparationError, match=re.escape(message)):
         reference_fit(records, "posttest", ("condition", "type"))
     # The same holds whatever order the design rows come in.
-    X, y, names = build_design(problem_outcomes(records, "posttest"),
+    X, y, names = build_design(row_design_cells(records, "posttest"),
                                ("condition", "type"))
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(len(y))
@@ -554,8 +564,8 @@ def test_null_effect_interval_covers_one():
 
 def test_design_reference_levels():
     rows = _balanced_null_log()
-    problems = problem_outcomes(rows, "posttest")
-    X, y, names = build_design(problems, ("condition", "type", "count", "type:count"))
+    cells = row_design_cells(rows, "posttest")
+    X, y, names = build_design(cells, ("condition", "type", "count", "type:count"))
     assert names == ["Intercept", "condition[interleaved]", "type[add_same]",
                      "type[multiply]", "count", "type[add_same]:count",
                      "type[multiply]:count"]
@@ -658,8 +668,8 @@ def _summaries(records):
 @example(rows=_mixed_log())
 def test_summaries_of_a_log_match_those_of_its_rows(rows):
     # The reference collapses and filters the rows one row at a time.
-    with mock.patch.multiple(analytics, problem_outcomes=row_problem_outcomes,
-                             _outcomes=row_outcome_cells, filter_hard=row_filter_hard):
+    with mock.patch.multiple(analytics, problem_outcomes=row_outcome_cells,
+                             filter_hard=row_filter_hard):
         expected, expected_fits = _summaries(rows)
     log = TransactionLog.of(rows)
     assert len(log) == len(rows)

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from simtutor import analytics, cli, experiment
+from simtutor import cli, experiment
 from simtutor.analytics import (
     MAX_ITER,
     DesignError,
@@ -244,16 +244,6 @@ def test_report_builds_each_phase_once(tmp_path, monkeypatch, capsys, outcome_bu
     assert len(outcome_builds) == 2
 
 
-def test_run_and_report_never_list_problem_outcomes(tmp_path, monkeypatch, capsys):
-    # Both commands read the outcome cells alone, never a per-problem list.
-    def refuse(*_args):
-        raise AssertionError("problem_outcomes called")
-    monkeypatch.setattr(analytics, "problem_outcomes", refuse)
-    log = run_dir(tmp_path) / "transactions.csv"
-    assert main(["report", str(log)]) == 0
-    assert "posttest regression:" in capsys.readouterr().out
-
-
 # The report of a 4-agent box run at seed 2, as every summary gave it when
 # each collapsed and filtered the log for itself.
 BOX_REPORT = f"""\
@@ -369,6 +359,19 @@ def test_bad_config_files_exit_one_in_one_line(tmp_path, capsys, content, messag
                  "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_deeply_nested_config_file_exits_one_in_one_line(tmp_path, capsys):
+    # json.load gives up on the nesting with RecursionError, not ValueError.
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["run", "fractions", "--config", str(cfg), "--replications", "1",
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("simtutor: config error: cannot read config ")
     assert not (tmp_path / "x").exists()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,31 @@ def test_a_record_whose_step_no_agent_can_enter_is_rejected(step, message):
     record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
     record["steps"] = [step if s[0] == step[0] else s for s in record["steps"]]
     with pytest.raises(ConfigError, match=f"problem 'p7' step '{step[0]}': {message}"):
+        ProblemScript.from_record(json.dumps(record))
+
+
+def _misspell(record):
+    record["steps"] = [["answer_nm", *s[1:]] if s[0] == "answer_num" else s
+                       for s in record["steps"]]
+    record["editable"].append("answer_nm")
+
+
+def _lock_answer(record):
+    record["editable"].remove("answer_num")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda record: record.update(family="decimals"),
+     "problem 'p7': unknown tutor family 'decimals'"),
+    (_misspell, "problem 'p7' step 'answer_nm': no editable 'fractions' field"),
+    (_lock_answer, "problem 'p7' step 'answer_num': no editable 'fractions' field"),
+], ids=["unknown-family", "role-outside-layout", "role-not-editable"])
+def test_a_record_whose_step_has_no_editable_field_is_rejected(edit, message):
+    # A replayed step on no editable field of the family would fail mid-run,
+    # or be hinted in every item, so it is refused when the script is read.
+    record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
+    edit(record)
+    with pytest.raises(ConfigError, match=re.escape(message)):
         ProblemScript.from_record(json.dumps(record))
 
 
