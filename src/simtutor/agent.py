@@ -125,13 +125,13 @@ def run_problem(agent: Agent, session) -> ProblemResult:
     """Drive one agent through one tutor problem.
 
     Each step the agent fires its best activation or, when nothing matches,
-    requests a demonstration.  Training mode: learn from every outcome, retry
-    a failed step with the next best untried activation, and learn from each
-    demonstration.  Posttest mode: no feedback reaches the agent, and the
-    first wrong step or demonstration request ends the problem.  A problem is
-    correct when every step was.
+    requests a demonstration.  In a "tutor" session: learn from every outcome,
+    retry a failed step with the next best untried activation, and learn from
+    each demonstration.  In a "posttest" session: no feedback reaches the
+    agent, and the first wrong step or demonstration request ends the problem.
+    A problem is correct when every step was.
     """
-    training = session.mode == "training"
+    training = session.mode == "tutor"
     steps = []
     excluded = set()
     # Perceived once; a step that changes the interface changes exactly one
@@ -145,7 +145,7 @@ def run_problem(agent: Agent, session) -> ProblemResult:
             raise ProtocolError(f"{session.mode} session failed to progress")
         act = decide(wm, agent.skills, excluded)
         if act is None:
-            steps.append((step.role, HINT))
+            steps.append((step.selection, HINT))
             if not training:
                 break
             sai = session.demonstrate()
@@ -153,7 +153,7 @@ def run_problem(agent: Agent, session) -> ProblemResult:
         else:
             sai = act.proposed
             outcome = session.submit(sai)
-            steps.append((step.role, outcome))
+            steps.append((step.selection, outcome))
             if training:
                 apply_feedback(agent.skills, act, outcome == CORRECT, wm)
             if outcome == ERROR:

@@ -204,8 +204,8 @@ def fit_logit(X, y, names, weights=None):
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        mu, H = _information(X, beta, counts)
-        g = X.T @ (counts * (y - mu))
+        _, H = _information(X, beta, counts)
+        g = score(X, y, beta, counts)
         try:
             delta = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:

@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .agent import Agent, run_problem
 from .state import CORRECT, ERROR, HINT, SIMULATION_ERRORS, ConfigError, parse_integer
 from .tutors import (
-    _BOX_OPS,
-    _SLOTS,
+    BOX_OPS,
+    SLOTS,
     ProblemScript,
     TutorSession,
     gen_box_problem,
@@ -274,7 +274,7 @@ def _box_curriculum(constraint: str, rng, id_prefix: str):
              for i in range(BOX_TRAINING["box_easy"])]
     # Hard items cover the relation-operator x layout space at least once;
     # the remainder of the set is sampled uniformly.
-    combos = [(op, layout) for op in _BOX_OPS for layout in _SLOTS]
+    combos = [(op, layout) for op in BOX_OPS for layout in SLOTS]
     deals = combos + [combos[randbelow(rng, len(combos))]
                       for _ in range(BOX_TRAINING["box_hard"] - len(combos))]
     rng.shuffle(deals)
@@ -320,9 +320,9 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
     opportunities: dict = {}
     entries, pairs = [], {}
 
-    def run_block(scripts, phase, mode, log=True):
+    def run_block(scripts, phase, log=True):
         for script in scripts:
-            session = TutorSession(script, mode)
+            session = TutorSession(script, phase)
             result = run_problem(agent, session)
             problem_type, steps = script.problem_type, result.steps
             opp = opportunities.get(problem_type, 0)
@@ -333,9 +333,9 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
                     problem_type, opp, result.correct, pairs.setdefault(steps, steps)))
             opportunities[problem_type] = opp + 1
 
-    run_block(pretrain, "tutor", "training", log=False)
-    run_block(training, "tutor", "training")
-    run_block(posttest, "posttest", "posttest")
+    run_block(pretrain, "tutor", log=False)
+    run_block(training, "tutor")
+    run_block(posttest, "posttest")
     return TransactionLog(entries)
 
 

@@ -59,9 +59,10 @@ class FieldState(NamedTuple):
 
 class SAI(NamedTuple("SAI", [("selection", str), ("action", str),
                               ("input", str | None)])):
-    """A (selection, action, input) step proposal; a named tuple, checked as built."""
+    """A (selection, action, input) step, proposed or canonical; checked as built."""
 
     __slots__ = ()
+    expected = property(lambda self: self[2])  # a canonical step's input token
 
     def __new__(cls, selection, action, input=None):
         if action not in ACTIONS:

@@ -1,9 +1,9 @@
 """Tutor environments: fraction arithmetic and box-and-arrows.
 
-A ProblemScript fixes an item's givens, its ordered canonical steps, and the
-expected entries.  A TutorSession applies the step contract: every submitted
-step is judged CORRECT (and locked in) or ERROR.  Training mode accepts only
-the next canonical step and can demonstrate it; posttest mode accepts the
+A ProblemScript fixes an item's givens and its ordered canonical steps, the
+``SAI``s of the expected entries.  A TutorSession judges every submitted step
+CORRECT (and locks it in) or ERROR.  Its mode is a log phase: "tutor" accepts
+only the next canonical step and can demonstrate it; "posttest" accepts the
 steps in any order, with done last, and its first error ends the attempt.
 """
 from __future__ import annotations
@@ -82,12 +82,6 @@ FRACTION_TYPES = ("add_same", "add_diff", "multiply")
 MAX_DRAWS = 10_000
 
 
-class CanonicalStep(NamedTuple):
-    role: str
-    action: str
-    expected: str | None = None  # input token; None for check/done steps
-
-
 class ProblemScript(NamedTuple):
     problem_id: str
     family: str
@@ -110,33 +104,46 @@ class ProblemScript(NamedTuple):
 
     @staticmethod
     def from_record(line: str) -> "ProblemScript":
-        """The script ``to_record`` wrote; ``ConfigError`` for a bad family or step."""
-        raw = json.loads(line)
-        steps = tuple(CanonicalStep(*s) for s in raw["steps"])
-        if raw["family"] not in FAMILIES:
-            raise ConfigError(f"problem {raw['problem_id']!r}: unknown tutor family "
-                              f"{raw['family']!r}")
-        editable = set(FAMILIES[raw["family"]].layout).intersection(raw["editable"])
-        for role, action, expected in steps:
-            try:
+        """The script ``to_record`` wrote; ``ConfigError`` naming the problem, or
+        saying the record has none, for any record that no session could run."""
+        where = "problem record with no readable problem_id"
+        try:
+            raw = json.loads(line)
+            where = name = f"problem {raw['problem_id']!r}"
+            family, givens = raw["family"], raw["givens"]
+            if family not in FAMILIES:
+                raise ValueError(f"unknown tutor family {family!r}")
+            editable = set(FAMILIES[family].layout).intersection(raw["editable"])
+            steps = []
+            for role, action, expected in raw["steps"]:
+                where = f"{name} step {role!r}"
                 if role not in editable:
-                    raise ValueError(f"no editable {raw['family']!r} field has this role")
-                if SAI(role, action, expected).input is not None:
+                    raise ValueError(f"no editable {family!r} field has this role")
+                steps.append(SAI(role, action, expected))
+                if expected is not None:
                     parse_integer(expected)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"problem {raw['problem_id']!r} step {role!r}: {exc}") from None
-        if len({step.role for step in steps}) < len(steps):
-            raise ConfigError(f"problem {raw['problem_id']!r} repeats a step role")
-        return ProblemScript(raw["problem_id"], raw["family"], raw["type"], raw["givens"],
-                             steps, tuple(raw["tags"]), frozenset(raw["editable"]))
+                where = name
+            roles = {step.selection for step in steps}
+            for role in givens.keys():  # a given is shown, never entered
+                if role not in FAMILIES[family].layout or role in roles:
+                    raise ValueError(f"given {role!r} must be a field that no step fills")
+            script = ProblemScript(raw["problem_id"], family, raw["type"], givens,
+                                   tuple(steps), tuple(raw["tags"]),
+                                   frozenset(raw["editable"]))
+        except KeyError as exc:
+            raise ConfigError(f"{where}: no {exc} key") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if len(roles) < len(steps):
+            raise ConfigError(f"{name} repeats a step role")
+        return script
 
 
 class TutorSession:
     """Single-owner state machine for one problem attempt."""
 
     def __init__(self, script: ProblemScript, mode: str):
-        if mode not in ("training", "posttest"):
+        if mode not in ("tutor", "posttest"):
             raise ConfigError(f"unknown session mode {mode!r}")
         if script.family not in FAMILIES:
             raise ConfigError(f"unknown tutor family {script.family!r}")
@@ -163,7 +170,7 @@ class TutorSession:
         """The first canonical step not yet locked, or None when all are."""
         locked = self._locked
         for step in self.script.canonical_steps:
-            if step.role not in locked:
+            if step[0] not in locked:  # the selection, also of a hand-built tuple
                 return step
         return None
 
@@ -178,14 +185,14 @@ class TutorSession:
     def submit(self, sai: SAI) -> str:
         """Judge one step: ``CORRECT`` locks it in, ``ERROR`` changes no field.
 
-        Correct is equal to the next canonical step (training) or to any
+        Correct is equal to the next canonical step (tutor) or to any
         unlocked one, ``done`` last (posttest, where ``ERROR`` ends the attempt).
         """
         step = self.next_step()
         if self._dead or step is None:
             raise ProtocolError("session is not accepting steps")
         locked = self._locked
-        if self.mode == "training":
+        if self.mode == "tutor":
             if sai.selection in locked:
                 raise ProtocolError(f"field {sai.selection!r} is locked")
             ok = sai == step
@@ -193,7 +200,7 @@ class TutorSession:
             steps = self.script.canonical_steps
             ok = sai.selection not in locked and sai in steps
             if ok and sai.action == PRESS_DONE:
-                ok = all(s.role in locked for s in steps if s.role != sai.selection)
+                ok = all(s.selection in locked for s in steps if s != sai)
             self._dead = not ok
         if not ok:
             return ERROR
@@ -202,8 +209,8 @@ class TutorSession:
 
     def demonstrate(self) -> SAI:
         """Lock in the next canonical step and return it as the ``SAI`` it
-        locked.  Training only."""
-        if self.mode != "training":
+        locked.  Tutor mode only."""
+        if self.mode != "tutor":
             raise ProtocolError("demonstrations are unavailable at posttest")
         step = self.next_step()
         if step is None:
@@ -251,21 +258,21 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
     if problem_type != "add_diff":
         num, den = (n1 + n2, d1) if problem_type == "add_same" else (n1 * n2, d1 * d2)
         steps = (
-            CanonicalStep("answer_num", INPUT_VALUE, str(num)),
-            CanonicalStep("answer_den", INPUT_VALUE, str(den)),
-            CanonicalStep("done", PRESS_DONE),
+            SAI("answer_num", INPUT_VALUE, str(num)),
+            SAI("answer_den", INPUT_VALUE, str(den)),
+            SAI("done", PRESS_DONE),
         )
     else:  # cross multiplication is the only accepted conversion strategy
         dd = d1 * d2
         steps = (
-            CanonicalStep("convert_check", CHECK_BOX),
-            CanonicalStep("conv_den1", INPUT_VALUE, str(dd)),
-            CanonicalStep("conv_den2", INPUT_VALUE, str(dd)),
-            CanonicalStep("conv_num1", INPUT_VALUE, str(n1 * d2)),
-            CanonicalStep("conv_num2", INPUT_VALUE, str(n2 * d1)),
-            CanonicalStep("answer_num", INPUT_VALUE, str(n1 * d2 + n2 * d1)),
-            CanonicalStep("answer_den", INPUT_VALUE, str(dd)),
-            CanonicalStep("done", PRESS_DONE),
+            SAI("convert_check", CHECK_BOX),
+            SAI("conv_den1", INPUT_VALUE, str(dd)),
+            SAI("conv_den2", INPUT_VALUE, str(dd)),
+            SAI("conv_num1", INPUT_VALUE, str(n1 * d2)),
+            SAI("conv_num2", INPUT_VALUE, str(n2 * d1)),
+            SAI("answer_num", INPUT_VALUE, str(n1 * d2 + n2 * d1)),
+            SAI("answer_den", INPUT_VALUE, str(dd)),
+            SAI("done", PRESS_DONE),
         )
     return ProblemScript(
         problem_id=problem_id,
@@ -281,8 +288,8 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
 # Box-and-arrows items
 # --------------------------------------------------------------------------
 
-_BOX_OPS = ("+", "-", "*", "/")
-_SLOTS = ("given_first", "box_first")
+BOX_OPS = ("+", "-", "*", "/")
+SLOTS = ("given_first", "box_first")
 
 
 def _whole_op(op: str, a: int, b: int):
@@ -331,7 +338,7 @@ def ambiguity_count(values, answer) -> int:
 def _whole_row(rng):
     """A drawn row ``(a, op, b, a op b)``, or None unless ``a op b`` is a
     whole number of at least 1."""
-    op = _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
+    op = BOX_OPS[randbelow(rng, len(BOX_OPS))]
     a, b = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
     v = _whole_op(op, a, b)
     return None if v is None or v < 1 else (a, op, b, v)
@@ -366,8 +373,8 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
             break
 
         # Hard item: (given op2 x) = target, or (x op2 given) = target.
-        rel_op = op2 if op2 is not None else _BOX_OPS[randbelow(rng, len(_BOX_OPS))]
-        slot = layout if layout is not None else _SLOTS[randbelow(rng, len(_SLOTS))]
+        rel_op = op2 if op2 is not None else BOX_OPS[randbelow(rng, len(BOX_OPS))]
+        slot = layout if layout is not None else SLOTS[randbelow(rng, len(SLOTS))]
         g, x = 1 + randbelow(rng, 30), 1 + randbelow(rng, 30)
         t = _whole_op(rel_op, g, x) if slot == "given_first" else _whole_op(rel_op, x, g)
         if t is None or t < 1 or t > 99:
@@ -406,8 +413,8 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
         # A literal, so the log and its pickles hold one string per type.
         problem_type="box_easy" if difficulty == "easy" else "box_hard",
         given_fields=givens,
-        canonical_steps=(CanonicalStep(box_role, INPUT_VALUE, str(x)),
-                         CanonicalStep("done", PRESS_DONE)),
+        canonical_steps=(SAI(box_role, INPUT_VALUE, str(x)),
+                         SAI("done", PRESS_DONE)),
         condition_tags=tags,
         editable_roles=frozenset((box_role, "done")),
     )

@@ -402,7 +402,7 @@ def _reference_value(skill, wm):
 
 def _reference_problem(skills, session):
     """(correct, steps) of one problem, perceived afresh at every step."""
-    training = session.mode == "training"
+    training = session.mode == "tutor"
     steps, excluded = [], set()
     while (step := session.next_step()) is not None:
         wm = reference_memory([(r, FieldState(r, v, e)) for r, v, e in session.snapshot()],
@@ -412,7 +412,7 @@ def _reference_problem(skills, session):
                       and sk.required <= wm.predicates
                       and (value := _reference_value(sk, wm)) is not None]
         if not candidates:
-            steps.append((step.role, HINT))
+            steps.append((step.selection, HINT))
             if not training:
                 break
             demo = session.demonstrate()
@@ -433,7 +433,7 @@ def _reference_problem(skills, session):
         sai = (SAI(skill.target_role, skill.action) if skill.procedure is None
                else SAI(skill.target_role, INPUT_VALUE, render_value(value)))
         outcome = session.submit(sai)
-        steps.append((step.role, outcome))
+        steps.append((step.selection, outcome))
         if training:
             skill.learn(wm, outcome == CORRECT)
         if outcome == ERROR:
@@ -459,11 +459,10 @@ def reference_run_agent(config, replication, agent_index, problems=None):
         problems = _generate_sets(config, replication, agent_index)
     pretrain, training, posttest = problems
     skills, opportunities, entries = [], {}, []
-    for scripts, phase, mode, log in ((pretrain, "tutor", "training", False),
-                                      (training, "tutor", "training", True),
-                                      (posttest, "posttest", "posttest", True)):
+    for scripts, phase, log in ((pretrain, "tutor", False), (training, "tutor", True),
+                                (posttest, "posttest", True)):
         for script in scripts:
-            correct, steps = _reference_problem(skills, TutorSession(script, mode))
+            correct, steps = _reference_problem(skills, TutorSession(script, phase))
             opp = opportunities.get(script.problem_type, 0)
             if log and steps:
                 entries.append((f"a{agent_index:03d}", replication, condition, phase,

@@ -76,7 +76,7 @@ WM = make_wm(("num1", 1), ("den1", 2), ("op", "+"), ("num2", 1), ("den2", 3),
 def test_perceive_projects_the_full_interface():
     rng = random.Random(0)
     script = gen_fraction_problem("add_diff", rng, "p1")
-    wm = perceive(TutorSession(script, "training"))
+    wm = perceive(TutorSession(script, "tutor"))
     assert wm.fields["num1"] == script.given_fields["num1"]
     # conversion fields are visible (and empty) from problem start
     for role in ("conv_num1", "conv_den1", "conv_num2", "conv_den2"):
@@ -84,15 +84,14 @@ def test_perceive_projects_the_full_interface():
 
 
 def test_perceive_box_easy_projection():
-    from simtutor.tutors import CanonicalStep, ProblemScript
+    from simtutor.tutors import ProblemScript
 
     script = ProblemScript(
         problem_id="p1", family="box", problem_type="box_easy",
         given_fields={"r1_a": 22, "r1_op": "/", "r1_b": 11},
-        canonical_steps=(CanonicalStep("r2_a", "input_value", "2"),
-                         CanonicalStep("done", "press_done")),
+        canonical_steps=(SAI("r2_a", "input_value", "2"), SAI("done", "press_done")),
         editable_roles=frozenset(("r2_a", "done")))
-    wm = perceive(TutorSession(script, "training"))
+    wm = perceive(TutorSession(script, "tutor"))
     assert wm.fields["r1_a"] == 22 and wm.fields["r1_b"] == 11
     assert wm.fields["r1_op"] == "/"
     assert wm.fields["r2_a"] is None and wm.editable == {"r2_a", "done"}
@@ -234,7 +233,7 @@ def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
     agent.skills.append(Skill("s1", "answer_num", "input_value",
                               ("multiply", "den1", "den2"),
                               conditions=frozenset(), required=frozenset()))
-    session = TutorSession(script, "training")
+    session = TutorSession(script, "tutor")
     result = run_problem(agent, session)
     assert session.next_step() is None
     assert result.correct is False
@@ -248,7 +247,7 @@ def test_trained_agent_masters_a_single_type_curriculum():
     results = []
     for i in range(30):
         script = gen_fraction_problem("multiply", rng, f"p{i}")
-        results.append(run_problem(agent, TutorSession(script, "training")))
+        results.append(run_problem(agent, TutorSession(script, "tutor")))
     assert all(r.correct for r in results[-10:])
     posttest = gen_fraction_problem("multiply", rng, "post")
     assert run_problem(agent, TutorSession(posttest, "posttest")).correct
@@ -259,7 +258,7 @@ def test_trained_agent_passes_a_posttest_problem_cleanly():
     agent = Agent()
     for i in range(12):
         script = gen_fraction_problem("add_same", rng, f"p{i}")
-        run_problem(agent, TutorSession(script, "training"))
+        run_problem(agent, TutorSession(script, "tutor"))
     result = run_problem(agent,
                          TutorSession(gen_fraction_problem("add_same", rng, "post"),
                                       "posttest"))
@@ -272,7 +271,7 @@ def test_skill_store_serializes_for_inspection():
     agent = Agent()
     for i in range(3):
         script = gen_fraction_problem("add_same", rng, f"p{i}")
-        run_problem(agent, TutorSession(script, "training"))
+        run_problem(agent, TutorSession(script, "tutor"))
     dumped = agent.skills_to_dicts()
     assert len(dumped) == len(agent.skills) >= 3
     for entry in dumped:
@@ -288,7 +287,7 @@ def test_identical_seeds_give_identical_transcripts():
         steps = []
         for i in range(8):
             script = gen_fraction_problem("add_diff", rng, f"p{i}")
-            steps.extend(run_problem(agent, TutorSession(script, "training")).steps)
+            steps.extend(run_problem(agent, TutorSession(script, "tutor")).steps)
         return steps
 
     assert transcript(42) == transcript(42)
@@ -309,7 +308,7 @@ def _no_convert(script):
         return script
     return script._replace(
         canonical_steps=tuple(s for s in script.canonical_steps
-                              if s.role not in _CONVERSION),
+                              if s.selection not in _CONVERSION),
         editable_roles=script.editable_roles - _CONVERSION)
 
 

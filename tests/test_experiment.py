@@ -319,7 +319,7 @@ def test_a_failing_cell_names_itself(monkeypatch, jobs):
 
     def fail_one_cell(agent, session):
         if session.script.problem_id.startswith("fractions-r1-a002-"):
-            raise ProtocolError("training session failed to progress")
+            raise ProtocolError("tutor session failed to progress")
         return run_problem(agent, session)
 
     monkeypatch.setattr(experiment, "run_problem", fail_one_cell)
@@ -327,7 +327,7 @@ def test_a_failing_cell_names_itself(monkeypatch, jobs):
     with pytest.raises(ProtocolError) as err:
         run_study(cfg)
     assert str(err.value) == \
-        "replication 1, agent 2: training session failed to progress"
+        "replication 1, agent 2: tutor session failed to progress"
 
 
 @pytest.mark.parametrize("token", ["²5", "--5"])
@@ -338,8 +338,8 @@ def test_a_non_numeric_demonstration_names_its_cell(token):
     sets = dump_problem_sets(cfg)
     pretrain, training, posttest = sets[(0, 0)]
     steps = list(training[0].canonical_steps)
-    i = next(i for i, step in enumerate(steps) if step.expected is not None)
-    steps[i] = steps[i]._replace(expected=token)
+    i = next(i for i, step in enumerate(steps) if step.input is not None)
+    steps[i] = steps[i]._replace(input=token)
     training = [training[0]._replace(canonical_steps=tuple(steps)), *training[1:]]
     sets[(0, 0)] = (pretrain, training, posttest)
     with pytest.raises(InvariantError) as err:

@@ -82,8 +82,8 @@ def scripts(draw):
 
 def _wrong(step):
     if step.action == INPUT_VALUE:
-        return SAI(step.role, INPUT_VALUE, str(int(step.expected) + 1))
-    return SAI(step.role, INPUT_VALUE, "0")
+        return SAI(step.selection, INPUT_VALUE, str(int(step.input) + 1))
+    return SAI(step.selection, INPUT_VALUE, "0")
 
 
 def _entries(snapshot):
@@ -98,25 +98,26 @@ def session_reference(session):
 def assert_next_step_is_the_first_empty_one(session, script):
     # Posttest locks steps in any order, so the first empty step can lie
     # before one that is already locked.
-    empty = [s for s in script.canonical_steps if session.value(s.role) is None]
+    empty = [s for s in script.canonical_steps if session.value(s.selection) is None]
     assert session.next_step() == (empty[0] if empty else None)
 
 
 def _act(session, script, mode, action, pick):
     """Apply one drawn action; returns (the role it changed or None, outcome)."""
-    if action == "demo" and mode == "training":
+    if action == "demo" and mode == "tutor":
         return session.demonstrate().selection, CORRECT
-    if mode == "training":
+    if mode == "tutor":
         step = session.next_step()
     else:  # posttest accepts any unlocked step, in any order
-        unlocked = [s for s in script.canonical_steps if session.value(s.role) is None]
+        unlocked = [s for s in script.canonical_steps
+                    if session.value(s.selection) is None]
         step = unlocked[pick % len(unlocked)]
-    sai = SAI(step.role, step.action, step.expected) if action == "correct" else _wrong(step)
+    sai = step if action == "correct" else _wrong(step)
     outcome = session.submit(sai)
     return (sai.selection if outcome == CORRECT else None), outcome
 
 
-_MODES = st.sampled_from(("training", "posttest"))
+_MODES = st.sampled_from(("tutor", "posttest"))
 _ACTIONS = st.lists(st.tuples(st.sampled_from(("correct", "wrong", "demo")),
                               st.integers(0, 7)), max_size=12)
 
@@ -171,7 +172,7 @@ class _Snapshot:
     (BOX_FAMILY, gen_box_problem("hard", "constrained", random.Random(1), "p")),
 ])
 def test_malformed_snapshots_raise_after_a_good_one_of_the_same_length(family, script):
-    good = TutorSession(script, "training").snapshot()
+    good = TutorSession(script, "tutor").snapshot()
     perceive(_Snapshot(good, family))  # fills the shape cache
     first, second = good[0], good[1]
     alien = [("zzz", *first[1:])] + good[1:]

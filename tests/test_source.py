@@ -1,5 +1,6 @@
 """Static checks on the package source, read with the standard ``ast`` module:
-no unused import, and no private name that nothing reads."""
+no unused import, no private name that nothing reads, and no private name
+imported from another module."""
 from __future__ import annotations
 
 import ast
@@ -59,6 +60,14 @@ def dead_private_names(sources):
     return sorted(entry for entry in defined if entry[2] not in read)
 
 
+def private_imports(source):
+    """(line, name) of every non-dunder ``_name`` that ``source`` imports from
+    another module: a name another module reads is that module's public name."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if _is_private(alias.name))
+
+
 def test_dead_private_names_are_found():
     source = ("_USED, _DEAD = 1, 2\n__version__ = '1'\n"
               "def _helper():\n    return _USED\n"
@@ -88,3 +97,16 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
               if (found := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\nfrom . import __version__, _hidden\n"
+              "from .tutors import (\n    BOX_OPS,\n    _SLOTS as SLOTS,\n)\n"
+              "import os.path\nfrom ._impl import run\n")
+    assert private_imports(source) == [(2, "_hidden"), (3, "_SLOTS")]
+
+
+def test_no_module_imports_a_private_name():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := private_imports(path.read_text()))}
+    assert found == {}

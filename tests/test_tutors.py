@@ -26,7 +26,6 @@ from simtutor.state import (
 )
 from simtutor.tutors import (
     FRACTION_TYPES,
-    CanonicalStep,
     ProblemScript,
     TutorSession,
     ambiguity_count,
@@ -50,7 +49,7 @@ def test_cross_multiplication_values():
     expected = {"convert_check": None, "conv_den1": "6", "conv_den2": "6",
                 "conv_num1": "3", "conv_num2": "2", "answer_num": "5",
                 "answer_den": "6", "done": None}
-    assert {st.role: st.expected for st in s.canonical_steps} == expected
+    assert {st.selection: st.input for st in s.canonical_steps} == expected
 
 
 def test_multiplication_answers_are_unsimplified():
@@ -60,7 +59,7 @@ def test_multiplication_answers_are_unsimplified():
         g = s.given_fields
         if (g["num1"], g["den1"], g["num2"], g["den2"]) == (2, 3, 3, 4):
             break
-    steps = {st.role: st.expected for st in s.canonical_steps}
+    steps = {st.selection: st.input for st in s.canonical_steps}
     assert steps["answer_num"] == "6" and steps["answer_den"] == "12"
 
 
@@ -68,9 +67,9 @@ def test_same_denominator_addition_has_no_conversion_steps():
     rng = random.Random(2)
     s = gen_fraction_problem("add_same", rng, "p")
     g = s.given_fields
-    roles = [st.role for st in s.canonical_steps]
+    roles = [st.selection for st in s.canonical_steps]
     assert roles == ["answer_num", "answer_den", "done"]
-    steps = {st.role: st.expected for st in s.canonical_steps}
+    steps = {st.selection: st.input for st in s.canonical_steps}
     assert steps["answer_num"] == str(g["num1"] + g["num2"])
     assert steps["answer_den"] == str(g["den1"])
 
@@ -108,8 +107,8 @@ def test_easy_item_box_value_is_the_row_one_result():
     g = s.given_fields
     a, op, b = g["r1_a"], g["r1_op"], g["r1_b"]
     value = {"+": a + b, "-": a - b, "*": a * b, "/": a // b if b and a % b == 0 else None}[op]
-    assert s.canonical_steps[0].expected == str(value)
-    assert [st.role for st in s.canonical_steps] == ["r2_a", "done"]
+    assert s.canonical_steps[0].input == str(value)
+    assert [st.selection for st in s.canonical_steps] == ["r2_a", "done"]
 
 
 def test_hard_item_relation_holds():
@@ -117,9 +116,9 @@ def test_hard_item_relation_holds():
     for _ in range(50):
         s = gen_box_problem("hard", "unconstrained", rng, "p")
         g = s.given_fields
-        x = int(s.canonical_steps[0].expected)
+        x = int(s.canonical_steps[0].input)
         op = g["r2_op"]
-        if s.canonical_steps[0].role == "r2_b":
+        if s.canonical_steps[0].selection == "r2_b":
             left, right = g["r2_a"], x
         else:
             left, right = x, g["r2_b"]
@@ -134,7 +133,7 @@ def test_constrained_items_have_exactly_one_candidate():
         s = gen_box_problem("hard", "constrained", rng, f"p{i}")
         g = s.given_fields
         visible = [g["r1_a"], g["r1_b"], g.get("r2_a") or g.get("r2_b"), g["target"]]
-        x = int(s.canonical_steps[0].expected)
+        x = int(s.canonical_steps[0].input)
         assert brute_candidates(visible, x) == 1
         # the row-one shortcut reads as a fraction on constrained items
         assert g["r1_op"] == "/" and g["r1_a"] % g["r1_b"] != 0
@@ -146,7 +145,7 @@ def test_unconstrained_items_have_at_least_two_candidates():
         s = gen_box_problem("hard", "unconstrained", rng, f"p{i}")
         g = s.given_fields
         visible = [g["r1_a"], g["r1_b"], g.get("r2_a") or g.get("r2_b"), g["target"]]
-        x = int(s.canonical_steps[0].expected)
+        x = int(s.canonical_steps[0].input)
         assert brute_candidates(visible, x) >= 2
 
 
@@ -249,13 +248,9 @@ def _script(ptype="add_diff", seed=0):
     return gen_fraction_problem(ptype, random.Random(seed), "p")
 
 
-def _canonical(step):
-    return SAI(step.role, step.action, step.expected)
-
-
 def replay_canonical(session: TutorSession):
     """Submit every canonical step in order; returns the outcome list."""
-    return [session.submit(_canonical(step)) for step in session.script.canonical_steps]
+    return [session.submit(step) for step in session.script.canonical_steps]
 
 
 def test_replaying_canonical_steps_completes_every_generated_item():
@@ -269,44 +264,44 @@ def test_replaying_canonical_steps_completes_every_generated_item():
             s = gen_box_problem(rng.choice(["easy", "hard"]),
                                 rng.choice(["constrained", "unconstrained"]),
                                 rng, f"p{i}")
-        session = TutorSession(s, "training")
+        session = TutorSession(s, "tutor")
         outcomes = replay_canonical(session)
         assert set(outcomes) == {CORRECT} and session.next_step() is None
 
 
 def test_correct_entry_locks_and_wrong_entry_does_not():
-    session = TutorSession(_script(), "training")
+    session = TutorSession(_script(), "tutor")
     step = session.next_step()
-    assert session.submit(SAI(step.role, step.action, step.expected)) == CORRECT
+    assert session.submit(step) == CORRECT
     with pytest.raises(ProtocolError):
-        session.submit(SAI(step.role, step.action, step.expected))
+        session.submit(step)
 
 
 def test_answer_before_conversion_is_incorrect():
-    session = TutorSession(_script("add_diff"), "training")
+    session = TutorSession(_script("add_diff"), "tutor")
     answer = next(s for s in session.script.canonical_steps
-                  if s.role == "answer_num")
-    assert session.submit(SAI("answer_num", "input_value", answer.expected)) \
+                  if s.selection == "answer_num")
+    assert session.submit(SAI("answer_num", "input_value", answer.input)) \
         == ERROR
 
 
 def test_demonstrations_follow_canonical_order():
-    session = TutorSession(_script("add_diff"), "training")
+    session = TutorSession(_script("add_diff"), "tutor")
     sai = session.demonstrate()
     assert sai == ("convert_check", "check_box", None)
     for _ in range(4):
         session.demonstrate()
     sai = session.demonstrate()
     assert sai.selection == "answer_num"
-    expected = next(s.expected for s in session.script.canonical_steps
-                    if s.role == "answer_num")
+    expected = next(s.input for s in session.script.canonical_steps
+                    if s.selection == "answer_num")
     assert sai.input == expected
 
 
 def test_demonstrating_a_malformed_step_raises_before_locking_it():
     script = _script("add_same")._replace(
-        canonical_steps=(CanonicalStep("answer_num", "input_value"),))
-    session = TutorSession(script, "training")
+        canonical_steps=(("answer_num", "input_value"),))
+    session = TutorSession(script, "tutor")
     with pytest.raises(InvariantError, match="input is present iff"):
         session.demonstrate()
     assert session.next_step() == script.canonical_steps[0]
@@ -317,11 +312,17 @@ def test_demonstrating_a_malformed_step_raises_before_locking_it():
 def test_a_locked_entry_is_an_int_only_when_it_is_a_canonical_integer(token, value):
     # The log reader's rule: an int is stored only when it renders as the token.
     script = _script("add_same")._replace(
-        canonical_steps=(CanonicalStep("answer_num", "input_value", token),))
-    session = TutorSession(script, "training")
+        canonical_steps=(SAI("answer_num", "input_value", token),))
+    session = TutorSession(script, "tutor")
     session.demonstrate()
     assert session.value("answer_num") == value
     assert type(session.value("answer_num")) is type(value)
+
+
+def test_a_session_mode_is_a_phase_word_of_the_log():
+    # The mode is the phase the log records: "tutor" or "posttest".
+    with pytest.raises(ConfigError, match="unknown session mode 'training'"):
+        TutorSession(_script(), "training")
 
 
 def test_demonstrate_is_a_protocol_error_at_posttest():
@@ -347,13 +348,13 @@ def test_posttest_premature_done_fails_the_problem():
 def test_posttest_all_steps_correct_is_judged_correct():
     session = TutorSession(_script("add_same"), "posttest")
     for step in session.script.canonical_steps:
-        session.submit(SAI(step.role, step.action, step.expected))
+        session.submit(step)
     assert session.next_step() is None
 
 
 def test_conversion_fields_visible_in_every_session():
     for ptype in ("add_same", "add_diff", "multiply"):
-        session = TutorSession(_script(ptype), "training")
+        session = TutorSession(_script(ptype), "tutor")
         roles = [r for r, _v, _e in session.snapshot()]
         assert {"conv_num1", "conv_den1", "conv_num2", "conv_den2"} <= set(roles)
 
@@ -373,7 +374,9 @@ def _generate(kind, rng, problem_id):
 @given(kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**64 - 1))
 def test_script_records_round_trip(kind, seed):
     s = _generate(kind, random.Random(seed), f"p{seed}")
-    assert ProblemScript.from_record(s.to_record()) == s
+    replayed = ProblemScript.from_record(s.to_record())
+    assert replayed == s
+    assert {type(step) for step in s.canonical_steps + replayed.canonical_steps} == {SAI}
 
 
 @pytest.mark.parametrize("step, message", [
@@ -390,6 +393,12 @@ def test_a_record_whose_step_no_agent_can_enter_is_rejected(step, message):
     record["steps"] = [step if s[0] == step[0] else s for s in record["steps"]]
     with pytest.raises(ConfigError, match=f"problem 'p7' step '{step[0]}': {message}"):
         ProblemScript.from_record(json.dumps(record))
+
+
+def _record_line(edit):
+    record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
+    edit(record)
+    return json.dumps(record)
 
 
 def _misspell(record):
@@ -411,10 +420,8 @@ def _lock_answer(record):
 def test_a_record_whose_step_has_no_editable_field_is_rejected(edit, message):
     # A replayed step on no editable field of the family would fail mid-run,
     # or be hinted in every item, so it is refused when the script is read.
-    record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
-    edit(record)
     with pytest.raises(ConfigError, match=re.escape(message)):
-        ProblemScript.from_record(json.dumps(record))
+        ProblemScript.from_record(_record_line(edit))
 
 
 def test_a_record_that_repeats_a_step_role_is_rejected():
@@ -424,6 +431,41 @@ def test_a_record_that_repeats_a_step_role_is_rejected():
     record["steps"].insert(1, ["answer_num", "input_value", "999"])
     with pytest.raises(ConfigError, match="problem 'p7' repeats a step role"):
         ProblemScript.from_record(json.dumps(record))
+
+
+_NO_ID = "problem record with no readable problem_id: "
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{steps", _NO_ID + "Expecting property name"),
+    ("[]", _NO_ID + "list indices must be integers"),
+    (_record_line(lambda record: record.pop("problem_id")), _NO_ID + "no 'problem_id' key"),
+    (_record_line(lambda record: record.pop("steps")), "problem 'p7': no 'steps' key"),
+    (_record_line(lambda record: record.update(family=["x"])),
+     "problem 'p7': unhashable type: 'list'"),
+    (_record_line(lambda record: record.update(editable=3)),
+     "problem 'p7': 'int' object is not iterable"),
+    (_record_line(lambda record: record.update(steps=3)),
+     "problem 'p7': 'int' object is not iterable"),
+    (_record_line(lambda record: record["steps"][1].append("x")),
+     "problem 'p7': too many values to unpack"),
+    (_record_line(lambda record: record.update(givens=[])),
+     "problem 'p7': 'list' object has no attribute 'keys'"),
+], ids=["not-json", "json-list", "no-id", "no-steps", "list-family", "int-editable",
+        "int-steps", "four-field-step", "list-givens"])
+def test_a_record_of_another_shape_is_one_config_error(line, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ProblemScript.from_record(line)
+
+
+@pytest.mark.parametrize("role", ["num3", "answer_num"])
+def test_a_record_whose_given_is_no_field_left_to_the_steps_is_rejected(role):
+    # A given outside the layout is never shown, and one on a step's field
+    # leaves that step no open field, so no agent could ever enter it.
+    line = _record_line(lambda record: record["givens"].update({role: 99}))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"problem 'p7': given {role!r} must be a field that no step fills")):
+        ProblemScript.from_record(line)
 
 
 def test_step_records_are_checked_named_tuples_that_survive_round_trips():
@@ -437,7 +479,7 @@ def test_step_records_are_checked_named_tuples_that_survive_round_trips():
     replayed = ProblemScript.from_record(script.to_record())
     assert replayed == script and type(replayed) is ProblemScript
     assert [type(s) for s in replayed.canonical_steps] == \
-        [CanonicalStep] * len(script.canonical_steps)
+        [SAI] * len(script.canonical_steps)
     assert replayed.to_record() == script.to_record()
     # Named tuples compare as tuples.
     assert sai == ("answer_num", "input_value", "7")
@@ -451,8 +493,8 @@ def test_step_records_are_checked_named_tuples_that_survive_round_trips():
 
 def _wrong(step):
     if step.action == "input_value":
-        return SAI(step.role, "input_value", str(int(step.expected) + 1))
-    return SAI(step.role, "input_value", "0")
+        return SAI(step.selection, "input_value", str(int(step.input) + 1))
+    return SAI(step.selection, "input_value", "0")
 
 
 class SessionMachine(RuleBasedStateMachine):
@@ -461,17 +503,17 @@ class SessionMachine(RuleBasedStateMachine):
     error has ended the attempt."""
 
     @initialize(kind=st.sampled_from(_KINDS), seed=st.integers(0, 2**32 - 1),
-                mode=st.sampled_from(("training", "posttest")))
+                mode=st.sampled_from(("tutor", "posttest")))
     def start(self, kind, seed, mode):
         script = _generate(kind, random.Random(seed), "p")
         self.steps = script.canonical_steps
         self.session = TutorSession(script, mode)
-        self.training = mode == "training"
+        self.training = mode == "tutor"
         self.locked = {}  # role -> value when it was locked
         self.failed = False  # a posttest ERROR occurred
 
     def _unlocked(self):
-        return [s for s in self.steps if s.role not in self.locked]
+        return [s for s in self.steps if s.selection not in self.locked]
 
     def _open(self):
         return not self.failed and bool(self._unlocked())
@@ -495,11 +537,11 @@ class SessionMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 7))
     def correct(self, pick):
         if self.training:
-            self._submit(_canonical(self.session.next_step()), CORRECT)
+            self._submit(self.session.next_step(), CORRECT)
         else:
             unlocked = self._unlocked()
             step = unlocked[pick % len(unlocked)]
-            self._submit(_canonical(step), self._posttest_outcome(step))
+            self._submit(step, self._posttest_outcome(step))
 
     @precondition(lambda self: self._open())
     @rule(pick=st.integers(0, 7))
@@ -512,19 +554,19 @@ class SessionMachine(RuleBasedStateMachine):
     def out_of_order(self, pick):
         later = self._unlocked()[1:]
         step = later[pick % len(later)]
-        self._submit(_canonical(step),
+        self._submit(step,
                      ERROR if self.training else self._posttest_outcome(step))
 
     @precondition(lambda self: self._open() and self.locked)
     @rule(pick=st.integers(0, 7))
     def resubmit_locked(self, pick):
         roles = sorted(self.locked)
-        step = next(s for s in self.steps if s.role == roles[pick % len(roles)])
+        step = next(s for s in self.steps if s.selection == roles[pick % len(roles)])
         if self.training:
             with pytest.raises(ProtocolError):
-                self.session.submit(_canonical(step))
+                self.session.submit(step)
         else:
-            self._submit(_canonical(step), ERROR)
+            self._submit(step, ERROR)
 
     @rule()
     def demonstrate(self):
@@ -533,15 +575,15 @@ class SessionMachine(RuleBasedStateMachine):
                 self.session.demonstrate()
             return
         step = self._unlocked()[0]
-        assert self.session.demonstrate() == _canonical(step)
-        self.locked[step.role] = self.session.value(step.role)
+        assert self.session.demonstrate() == step
+        self.locked[step.selection] = self.session.value(step.selection)
 
     @precondition(lambda self: not self._open())
     @rule(pick=st.integers(0, 7))
     def submit_when_closed(self, pick):
         step = self.steps[pick % len(self.steps)]
         with pytest.raises(ProtocolError):
-            self.session.submit(_canonical(step))
+            self.session.submit(step)
 
     @invariant()
     def locked_fields_never_change(self):
