@@ -20,7 +20,7 @@ from .experiment import (
     run_study,
     sequence_fractions,
 )
-from .induction import Skill, explain, generalize, induce_from_demo, refine_conditions
+from .induction import Skill, explain, induce_from_demo, refine_conditions
 from .state import SAI, FieldState, WorkingMemory
 from .tutors import (
     ProblemScript,
@@ -36,7 +36,7 @@ __all__ = [
     "learning_curve", "posttest_effect",
     "ExperimentConfig", "TransactionLog", "TrialRecord", "box_arrows_config",
     "fractions_config", "run_study", "sequence_fractions",
-    "Skill", "explain", "generalize", "induce_from_demo", "refine_conditions",
+    "Skill", "explain", "induce_from_demo", "refine_conditions",
     "SAI", "FieldState", "WorkingMemory",
     "ProblemScript", "TutorSession", "ambiguity_count", "gen_box_problem",
     "gen_fraction_problem",

@@ -74,12 +74,6 @@ def depth(expr) -> int:
     return 0
 
 
-def expr_roles(expr) -> frozenset:
-    if type(expr) is tuple:
-        return expr_roles(expr[1]) | expr_roles(expr[2])
-    return frozenset((expr,)) if type(expr) is str else frozenset()
-
-
 def sexpr(expr) -> str:
     if type(expr) is tuple:
         return f"({expr[0]} {sexpr(expr[1])} {sexpr(expr[2])})"
@@ -221,22 +215,6 @@ class Skill:
         }
 
 
-def generalize(expr, wm: WorkingMemory, target_role: str, skill_id: str) -> Skill:
-    """Lift an explanation into a skill, conditioned on the observed state."""
-    missing = [r for r in expr_roles(expr) if r not in wm.fields]
-    if missing:
-        raise InvariantError(f"explanation references absent roles {missing}")
-    if target_role not in wm.fields:
-        raise InvariantError(f"unknown field {target_role!r}")
-    return Skill(
-        skill_id=skill_id,
-        target_role=target_role,
-        action=INPUT_VALUE,
-        procedure=expr,
-        conditions=wm.predicates,
-    )
-
-
 def refine_conditions(skill: Skill, wm: WorkingMemory, correct: bool) -> Skill:
     """Update a skill's predicate sets after an outcome in ``wm``.
 
@@ -259,9 +237,10 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI):
 
     Any existing skill for the same field role and action whose procedure
     reproduces the demonstrated value is credited as a positive example.
-    Otherwise the first explanation (in search order; the constant when
-    nothing else explains the value) is generalized into a new skill, numbered
-    from the store (``s0001`` first), then appended to ``skills`` and returned.
+    Otherwise a new skill, numbered from the store (``s0001`` first) and
+    conditioned on the whole observed state, is appended and returned.  Its
+    procedure is the first explanation in search order (the constant when
+    nothing else explains the value), or None for a structural action.
     """
     role = demo.selection
     if role not in wm.fields:
@@ -279,16 +258,7 @@ def induce_from_demo(skills, wm: WorkingMemory, demo: SAI):
     if credited:
         return None
 
-    skill_id = f"s{len(skills) + 1:04d}"
-    if demo.action == INPUT_VALUE:
-        created = generalize(explain(wm, demo)[0], wm, role, skill_id)
-    else:
-        created = Skill(
-            skill_id=skill_id,
-            target_role=role,
-            action=demo.action,
-            procedure=None,
-            conditions=wm.predicates,
-        )
+    procedure = explain(wm, demo)[0] if demo.action == INPUT_VALUE else None
+    created = Skill(f"s{len(skills) + 1:04d}", role, demo.action, procedure, wm.predicates)
     skills.append(created)
     return created

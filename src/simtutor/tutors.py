@@ -110,7 +110,10 @@ class ProblemScript(NamedTuple):
         try:
             raw = json.loads(line)
             where = name = f"problem {raw['problem_id']!r}"
-            family, givens = raw["family"], raw["givens"]
+            family, givens, tags = raw["family"], raw["givens"], raw["tags"]
+            if type(tags) is not list or not all(
+                    type(v) is str for v in (raw["problem_id"], raw["type"], *tags)):
+                raise ValueError("problem_id and type must be strings, tags a list of strings")
             if family not in FAMILIES:
                 raise ValueError(f"unknown tutor family {family!r}")
             editable = set(FAMILIES[family].layout).intersection(raw["editable"])
@@ -128,7 +131,7 @@ class ProblemScript(NamedTuple):
                 if role not in FAMILIES[family].layout or role in roles:
                     raise ValueError(f"given {role!r} must be a field that no step fills")
             script = ProblemScript(raw["problem_id"], family, raw["type"], givens,
-                                   tuple(steps), tuple(raw["tags"]),
+                                   tuple(steps), tuple(tags),
                                    frozenset(raw["editable"]))
         except KeyError as exc:
             raise ConfigError(f"{where}: no {exc} key") from None

@@ -312,11 +312,28 @@ def _no_convert(script):
         editable_roles=script.editable_roles - _CONVERSION)
 
 
+def _unexplained(problems):
+    """``problems`` with its first training ``add_same`` item turned into
+    1/2 + 1/2 whose answer numerator is 97: no depth-2 tree over those givens
+    reaches 97, so the demonstration is explained by the constant."""
+    pretrain, training, posttest = problems
+    for i, script in enumerate(training):
+        if script.problem_type == "add_same":
+            training = list(training)
+            training[i] = script._replace(
+                given_fields={"num1": 1, "den1": 2, "op": "+", "num2": 1, "den2": 2},
+                canonical_steps=(SAI("answer_num", "input_value", "97"),
+                                 SAI("answer_den", "input_value", "2"),
+                                 *script.canonical_steps[2:]))
+            break
+    return pretrain, training, posttest
+
+
 @settings(max_examples=40, deadline=None)
 @given(study=st.sampled_from((fractions_config, box_arrows_config)),
        seed=st.integers(0, 10_000), replication=st.integers(0, 9),
        agent_index=st.integers(0, 7),
-       shape=st.sampled_from(("stock", "no-convert")), data=st.data())
+       shape=st.sampled_from(("stock", "no-convert", "constant")), data=st.data())
 def test_run_agent_equals_the_reference_agent(study, seed, replication, agent_index,
                                               shape, data):
     config = study(seed=seed)
@@ -324,6 +341,8 @@ def test_run_agent_equals_the_reference_agent(study, seed, replication, agent_in
     if shape == "no-convert":
         problems = tuple([_no_convert(s) for s in scripts]
                          for scripts in _generate_sets(config, replication, agent_index))
+    elif shape == "constant":
+        problems = _unexplained(_generate_sets(config, replication, agent_index))
     if data.draw(st.booleans(), label="reorder training"):
         pretrain, training, posttest = problems or _generate_sets(
             config, replication, agent_index)
@@ -358,6 +377,23 @@ def test_a_no_convert_replay_matches_its_golden_digest(tmp_path, monkeypatch):
     write_transactions(path, run_study(config, problem_sets=sets))
     assert max(depths) == 2
     assert hashlib.sha256(path.read_bytes()).hexdigest() == NO_CONVERT_DIGEST
+
+
+@pytest.mark.parametrize("agent_index", [0, 1], ids=["blocked", "interleaved"])
+def test_an_unexplained_answer_is_learned_as_a_constant_skill(agent_index, monkeypatch):
+    config = fractions_config(seed=7)
+    problems = tuple([ProblemScript.from_record(s.to_record()) for s in scripts]
+                     for scripts in _unexplained(_generate_sets(config, 0, agent_index)))
+    stores, induce = [], agent_module.induce_from_demo
+
+    def recorded(skills, wm, demo):
+        stores.append(skills)
+        return induce(skills, wm, demo)
+    monkeypatch.setattr(agent_module, "induce_from_demo", recorded)
+    entries = run_agent(config, 0, agent_index, problems).entries
+    assert [(sk.target_role, sk.procedure) for sk in stores[-1]
+            if type(sk.procedure) is int] == [("answer_num", 97)]
+    assert entries == reference_run_agent(config, 0, agent_index, problems)
 
 
 _AGENT_STEPS = {agent_module: ("activations", "decide", "apply_feedback", "perceive",

@@ -16,8 +16,6 @@ from simtutor.induction import (
     _matching_keys,
     depth,
     explain,
-    expr_roles,
-    generalize,
     induce_from_demo,
     refine_conditions,
     sexpr,
@@ -224,41 +222,6 @@ def test_explanations_order_commutative_operands_by_rendering():
         ["(subtract b a)"]
 
 
-# -- generalize ------------------------------------------------------------
-
-def test_generalize_conditions_start_with_the_full_observed_state():
-    wm = make_wm(("num1", 1), ("den1", 2), ("op", "+"), ("num2", 1), ("den2", 3),
-                 ("conv_den1", None), editable=("conv_den1",))
-    skill = generalize(("multiply", "den1", "den2"), wm, "conv_den1", "s1")
-    assert skill.target_role == "conv_den1"
-    assert ("op_equals", "+") in skill.conditions
-    assert ("denominators_differ",) in skill.conditions
-    assert ("empty", "conv_den1") in skill.conditions
-    assert ("filled", "den1") in skill.conditions
-    assert skill.required == frozenset()
-    assert (skill.successes, skill.attempts) == (0, 0)
-
-
-def test_generalize_on_same_denominators_records_that_predicate():
-    wm = make_wm(("num1", 1), ("den1", 4), ("op", "+"), ("num2", 2), ("den2", 4),
-                 ("answer_num", None), editable=("answer_num",))
-    skill = generalize("num1", wm, "answer_num", "s1")
-    assert ("denominators_equal",) in skill.conditions
-
-
-def test_generalize_constant_explanation():
-    wm = make_wm(("num1", 1), ("answer_den", None), editable=("answer_den",))
-    skill = generalize(2, wm, "answer_den", "s1")
-    assert skill.procedure == 2
-    assert skill.conditions == wm.predicates
-
-
-def test_generalize_rejects_absent_roles():
-    wm = make_wm(("num1", 1), ("t", None), editable=("t",))
-    with pytest.raises(InvariantError):
-        generalize(("add", "num1", "ghost"), wm, "t", "s1")
-
-
 # -- refine_conditions -----------------------------------------------------
 
 def _skill(conditions, required=frozenset()):
@@ -317,12 +280,22 @@ def test_conditions_only_shrink_over_correct_example_sequences():
 # -- induce_from_demo ------------------------------------------------------
 
 def test_first_demonstration_creates_exactly_one_skill():
-    wm = make_wm(("den1", 2), ("den2", 3), ("conv_den1", None),
-                 editable=("conv_den1",))
+    wm = make_wm(("num1", 1), ("den1", 2), ("op", "+"), ("num2", 1), ("den2", 3),
+                 ("conv_den1", None), editable=("conv_den1",))
     skills = []
     created = induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
     assert created is not None and len(skills) == 1
     assert sexpr(created.procedure) == "(multiply den1 den2)"
+    # The new skill is conditioned on the whole observed state, gated on nothing.
+    assert created.conditions == wm.predicates
+    assert {("op_equals", "+"), ("denominators_differ",), ("empty", "conv_den1"),
+            ("filled", "den1")} <= created.conditions
+    assert created.required == frozenset()
+    assert (created.successes, created.attempts) == (0, 0)
+    # A value that nothing explains is learned as a constant.
+    wm = make_wm(("num1", 1), ("answer_den", None), editable=("answer_den",))
+    created = induce_from_demo(skills, wm, SAI("answer_den", "input_value", "2"))
+    assert created.procedure == 2 and created.conditions == wm.predicates
 
 
 def test_demonstration_matching_existing_skill_credits_it():
@@ -358,10 +331,13 @@ def test_product_rule_is_induced_when_it_is_the_unique_explanation():
 
 
 def test_structural_demo_builds_a_procedure_free_skill():
-    wm = make_wm(("num1", 1), ("convert_check", None), editable=("convert_check",))
+    wm = make_wm(("num1", 1), ("den1", 4), ("den2", 4), ("convert_check", None),
+                 editable=("convert_check",))
     skills = []
     created = induce_from_demo(skills, wm, SAI("convert_check", "check_box"))
     assert created.procedure is None and created.action == "check_box"
+    assert created.conditions == wm.predicates
+    assert ("denominators_equal",) in created.conditions
 
 
 def test_skill_store_growth_is_bounded_by_demonstrations():
@@ -408,7 +384,6 @@ def test_skill_serialization_shape():
 
 def test_expr_roles_and_evaluation():
     e = ("divide", "a", "b")
-    assert expr_roles(e) == {"a", "b"}
     assert evaluate(e, {"a": Fraction(7), "b": Fraction(2)}) == Fraction(7, 2)
     assert evaluate(e, {"a": Fraction(7), "b": Fraction(0)}) is None
     assert evaluate(e, {"a": Fraction(7)}) is None

@@ -434,6 +434,7 @@ def test_a_record_that_repeats_a_step_role_is_rejected():
 
 
 _NO_ID = "problem record with no readable problem_id: "
+_STRINGS = "problem_id and type must be strings, tags a list of strings"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -451,8 +452,16 @@ _NO_ID = "problem record with no readable problem_id: "
      "problem 'p7': too many values to unpack"),
     (_record_line(lambda record: record.update(givens=[])),
      "problem 'p7': 'list' object has no attribute 'keys'"),
+    (_record_line(lambda record: record.update(type=["add_same"])),
+     "problem 'p7': " + _STRINGS),
+    (_record_line(lambda record: record.update(tags="blocked")),
+     "problem 'p7': " + _STRINGS),
+    (_record_line(lambda record: record.update(tags=[1, 2])),
+     "problem 'p7': " + _STRINGS),
+    (_record_line(lambda record: record.update(problem_id=7)), "problem 7: " + _STRINGS),
 ], ids=["not-json", "json-list", "no-id", "no-steps", "list-family", "int-editable",
-        "int-steps", "four-field-step", "list-givens"])
+        "int-steps", "four-field-step", "list-givens", "list-type", "string-tags",
+        "int-tags", "int-id"])
 def test_a_record_of_another_shape_is_one_config_error(line, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         ProblemScript.from_record(line)
