@@ -280,22 +280,51 @@ def test_conditions_only_shrink_over_correct_example_sequences():
 # -- induce_from_demo ------------------------------------------------------
 
 def test_first_demonstration_creates_exactly_one_skill():
-    wm = make_wm(("num1", 1), ("den1", 2), ("op", "+"), ("num2", 1), ("den2", 3),
-                 ("conv_den1", None), editable=("conv_den1",))
+    wm = make_wm(("den1", 2), ("den2", 3), ("conv_den1", None),
+                 editable=("conv_den1",))
     skills = []
     created = induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
     assert created is not None and len(skills) == 1
     assert sexpr(created.procedure) == "(multiply den1 den2)"
-    # The new skill is conditioned on the whole observed state, gated on nothing.
-    assert created.conditions == wm.predicates
-    assert {("op_equals", "+"), ("denominators_differ",), ("empty", "conv_den1"),
-            ("filled", "den1")} <= created.conditions
-    assert created.required == frozenset()
-    assert (created.successes, created.attempts) == (0, 0)
-    # A value that nothing explains is learned as a constant.
+
+
+# A new skill is generalized from its one demonstration: conditioned on the
+# whole observed state, gated on nothing, with the first explanation as its
+# procedure.
+
+def test_generalize_conditions_start_with_the_full_observed_state():
+    wm = make_wm(("num1", 1), ("den1", 2), ("op", "+"), ("num2", 1), ("den2", 3),
+                 ("conv_den1", None), editable=("conv_den1",))
+    skill = induce_from_demo([], wm, SAI("conv_den1", "input_value", "6"))
+    assert skill.target_role == "conv_den1"
+    assert skill.conditions == wm.predicates
+    assert ("op_equals", "+") in skill.conditions
+    assert ("denominators_differ",) in skill.conditions
+    assert ("empty", "conv_den1") in skill.conditions
+    assert ("filled", "den1") in skill.conditions
+    assert skill.required == frozenset()
+    assert (skill.successes, skill.attempts) == (0, 0)
+
+
+def test_generalize_on_same_denominators_records_that_predicate():
+    wm = make_wm(("num1", 1), ("den1", 4), ("op", "+"), ("num2", 2), ("den2", 4),
+                 ("answer_num", None), editable=("answer_num",))
+    skill = induce_from_demo([], wm, SAI("answer_num", "input_value", "3"))
+    assert ("denominators_equal",) in skill.conditions
+    # A structural action is generalized the same way, with no procedure.
+    wm = make_wm(("num1", 1), ("den1", 4), ("den2", 4), ("convert_check", None),
+                 editable=("convert_check",))
+    skill = induce_from_demo([], wm, SAI("convert_check", "check_box"))
+    assert skill.procedure is None
+    assert ("denominators_equal",) in skill.conditions
+
+
+def test_generalize_constant_explanation():
+    # No field of this state explains 2, so the skill learns the constant.
     wm = make_wm(("num1", 1), ("answer_den", None), editable=("answer_den",))
-    created = induce_from_demo(skills, wm, SAI("answer_den", "input_value", "2"))
-    assert created.procedure == 2 and created.conditions == wm.predicates
+    skill = induce_from_demo([], wm, SAI("answer_den", "input_value", "2"))
+    assert skill.procedure == 2
+    assert skill.conditions == wm.predicates
 
 
 def test_demonstration_matching_existing_skill_credits_it():
@@ -331,13 +360,10 @@ def test_product_rule_is_induced_when_it_is_the_unique_explanation():
 
 
 def test_structural_demo_builds_a_procedure_free_skill():
-    wm = make_wm(("num1", 1), ("den1", 4), ("den2", 4), ("convert_check", None),
-                 editable=("convert_check",))
+    wm = make_wm(("num1", 1), ("convert_check", None), editable=("convert_check",))
     skills = []
     created = induce_from_demo(skills, wm, SAI("convert_check", "check_box"))
     assert created.procedure is None and created.action == "check_box"
-    assert created.conditions == wm.predicates
-    assert ("denominators_equal",) in created.conditions
 
 
 def test_skill_store_growth_is_bounded_by_demonstrations():
