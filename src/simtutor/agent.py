@@ -48,11 +48,10 @@ def activations(wm: WorkingMemory, skills, excluded=frozenset()):
     preds = wm.predicates
     fields = wm.fields
     out = []
+    if excluded:  # a retry's exclusions, applied once and in store order
+        skills = [sk for sk in skills if sk.skill_id not in excluded]
     for sk in skills:
-        role = sk.target_role
-        if role not in open_roles or sk.skill_id in excluded:
-            continue
-        if not sk.required <= preds:
+        if sk.target_role not in open_roles or not sk.required <= preds:
             continue
         value = None
         if sk.procedure is not None:
@@ -135,14 +134,19 @@ def run_problem(agent: Agent, session) -> ProblemResult:
     steps = []
     excluded = set()
     # Perceived once; a step that changes the interface changes exactly one
-    # field, so each later state is derived from the one before.  Feedback
-    # and induction always see the state the step was taken in.
+    # field, so each later state is derived from the one before, and only
+    # when another step follows.  Feedback and induction always see the
+    # state the step was taken in.
     wm = perceive(session)
+    filled = None
     guard = 0
     while (step := session.next_step()) is not None:
         guard += 1
         if guard > 10_000:
             raise ProtocolError(f"{session.mode} session failed to progress")
+        if filled is not None:
+            wm = wm.with_value(filled, session.value(filled))
+            filled = None
         act = decide(wm, agent.skills, excluded)
         if act is None:
             steps.append((step.selection, HINT))
@@ -162,6 +166,6 @@ def run_problem(agent: Agent, session) -> ProblemResult:
                 excluded.add(act.skill.skill_id)
                 continue
         excluded.clear()
-        wm = wm.with_value(sai.selection, session.value(sai.selection))
+        filled = sai.selection
     return ProblemResult(all(outcome == CORRECT for _role, outcome in steps),
                          steps)

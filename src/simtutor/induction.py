@@ -61,11 +61,18 @@ def evaluate(expr, fields):
     if kind is int:
         return expr
     op, left, right = expr
-    left = evaluate(left, fields)
-    if left is None:
+    # Leaf operands are read inline, by the same rules as the two cases above.
+    if type(left) is str:
+        if type(left := fields.get(left)) is not int:
+            return None
+    elif type(left) is not int and (left := evaluate(left, fields)) is None:
         return None
-    right = evaluate(right, fields)
-    return None if right is None else _ARITH.get(op, divide)(left, right)
+    if type(right) is str:
+        if type(right := fields.get(right)) is not int:
+            return None
+    elif type(right) is not int and (right := evaluate(right, fields)) is None:
+        return None
+    return _ARITH.get(op, divide)(left, right)
 
 
 def depth(expr) -> int:
@@ -221,14 +228,18 @@ def refine_conditions(skill: Skill, wm: WorkingMemory, correct: bool) -> Skill:
     Positive example: drop every predicate not satisfied by the state, from
     both the prototype and the gate.  Negative example: the prototype is left
     unchanged; prototype predicates that failed in the state join the gate.
+    A set that the example leaves as it was is not rebuilt.
     """
     sat = wm.predicates
     if correct:
-        skill.conditions = skill.conditions & sat
-        skill.required = skill.required & sat
+        if not skill.conditions <= sat:
+            skill.conditions = skill.conditions & sat
+        if not skill.required <= sat:
+            skill.required = skill.required & sat
     else:
-        skill.required = skill.required | frozenset(
-            p for p in skill.conditions if p not in sat)
+        missing = skill.conditions - sat
+        if not missing <= skill.required:
+            skill.required = skill.required | missing
     return skill
 
 

@@ -78,8 +78,13 @@ BOX_FAMILY = TutorFamily(
 FAMILIES = {"fractions": FRACTION_FAMILY, "box": BOX_FAMILY}
 
 FRACTION_TYPES = ("add_same", "add_diff", "multiply")
+OPERATOR_ROLES = frozenset(("op", "r1_op", "r2_op"))  # every other given is an int
 
 MAX_DRAWS = 10_000
+
+# Structural canonical steps, built (and checked) once and shared by every script.
+DONE_STEP = SAI("done", PRESS_DONE)
+CONVERT_STEP = SAI("convert_check", CHECK_BOX)
 
 
 class ProblemScript(NamedTuple):
@@ -130,6 +135,8 @@ class ProblemScript(NamedTuple):
             for role in givens.keys():  # a given is shown, never entered
                 if role not in FAMILIES[family].layout or role in roles:
                     raise ValueError(f"given {role!r} must be a field that no step fills")
+                if type(givens[role]) is not (kind := str if role in OPERATOR_ROLES else int):
+                    raise ValueError(f"given {role!r} must be of type {kind.__name__}")
             script = ProblemScript(raw["problem_id"], family, raw["type"], givens,
                                    tuple(steps), tuple(tags),
                                    frozenset(raw["editable"]))
@@ -263,19 +270,19 @@ def gen_fraction_problem(problem_type: str, rng, problem_id: str = "p") -> Probl
         steps = (
             SAI("answer_num", INPUT_VALUE, str(num)),
             SAI("answer_den", INPUT_VALUE, str(den)),
-            SAI("done", PRESS_DONE),
+            DONE_STEP,
         )
     else:  # cross multiplication is the only accepted conversion strategy
         dd = d1 * d2
         steps = (
-            SAI("convert_check", CHECK_BOX),
+            CONVERT_STEP,
             SAI("conv_den1", INPUT_VALUE, str(dd)),
             SAI("conv_den2", INPUT_VALUE, str(dd)),
             SAI("conv_num1", INPUT_VALUE, str(n1 * d2)),
             SAI("conv_num2", INPUT_VALUE, str(n2 * d1)),
             SAI("answer_num", INPUT_VALUE, str(n1 * d2 + n2 * d1)),
             SAI("answer_den", INPUT_VALUE, str(dd)),
-            SAI("done", PRESS_DONE),
+            DONE_STEP,
         )
     return ProblemScript(
         problem_id=problem_id,
@@ -417,7 +424,7 @@ def gen_box_problem(difficulty: str, constraint: str, rng,
         problem_type="box_easy" if difficulty == "easy" else "box_hard",
         given_fields=givens,
         canonical_steps=(SAI(box_role, INPUT_VALUE, str(x)),
-                         SAI("done", PRESS_DONE)),
+                         DONE_STEP),
         condition_tags=tags,
         editable_roles=frozenset((box_role, "done")),
     )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from simtutor import agent as agent_module
-from simtutor import induction
+from simtutor import experiment, induction
 from simtutor.agent import (
     Activation,
     Agent,
@@ -34,6 +34,7 @@ from simtutor.experiment import (
 from simtutor.induction import Skill
 from simtutor.state import (
     CORRECT,
+    ERROR,
     HINT,
     SAI,
     FieldState,
@@ -278,6 +279,64 @@ def test_skill_store_serializes_for_inspection():
         assert set(entry) == {"skill_id", "target_role", "action", "procedure",
                               "conditions", "required", "successes", "attempts"}
         assert entry["successes"] <= entry["attempts"]
+
+
+def _count_derived_states(monkeypatch):
+    """The roles ``WorkingMemory.with_value`` is called on, in call order."""
+    roles = []
+    derive = WorkingMemory.with_value
+
+    def with_value(self, role, value):
+        roles.append(role)
+        return derive(self, role, value)
+    monkeypatch.setattr(WorkingMemory, "with_value", with_value)
+    return roles
+
+
+def _fills_seen_later(steps):
+    """How many steps filled a field (all but ``ERROR``) with a step after them."""
+    return sum(outcome != ERROR for _role, outcome in steps[:-1])
+
+
+def test_run_problem_derives_a_state_only_for_a_later_step(monkeypatch):
+    # The state after a problem's last step is never read, so it is never
+    # derived: one with_value per filled field that a later step sees.
+    derived = _count_derived_states(monkeypatch)
+    script = gen_fraction_problem("add_diff", random.Random(7), "p7")
+    agent = Agent()
+    agent.skills.append(Skill("s1", "conv_den1", "input_value",  # always wrong
+                              ("add", "den1", "den2"), conditions=frozenset()))
+    result = run_problem(agent, TutorSession(script, "tutor"))
+    assert result.steps[:4] == [("convert_check", ERROR), ("convert_check", HINT),
+                                ("conv_den1", ERROR), ("conv_den1", HINT)]
+    assert result.steps[-1] == ("done", HINT)
+    assert derived == [s.selection for s in script.canonical_steps[:-1]]
+    assert len(derived) == _fills_seen_later(result.steps)
+
+    # A posttest attempt that ends on an ERROR saw every field it filled.
+    derived.clear()
+    script = gen_fraction_problem("add_same", random.Random(7), "post")
+    agent.skills = [Skill("s1", "answer_num", "input_value", ("add", "num1", "num2"),
+                          conditions=frozenset()),
+                    Skill("s2", "answer_den", "input_value",  # always wrong
+                          ("multiply", "den1", "den2"), conditions=frozenset())]
+    result = run_problem(agent, TutorSession(script, "posttest"))
+    assert result.steps == [("answer_num", CORRECT), ("answer_den", ERROR)]
+    assert derived == ["answer_num"]
+
+
+def test_a_whole_cell_derives_a_state_only_for_a_later_step(monkeypatch):
+    derived = _count_derived_states(monkeypatch)
+    results = []
+    solve = experiment.run_problem
+
+    def run_problem(agent, session):
+        results.append(solve(agent, session))
+        return results[-1]
+    monkeypatch.setattr(experiment, "run_problem", run_problem)
+    run_agent(fractions_config(seed=7), 0, 1)
+    assert {o for r in results for _s, o in r.steps} == {CORRECT, ERROR, HINT}
+    assert len(derived) == sum(_fills_seen_later(r.steps) for r in results)
 
 
 def test_identical_seeds_give_identical_transcripts():

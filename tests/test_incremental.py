@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simtutor import induction
@@ -286,6 +286,25 @@ def _rational(expr, values):
 
 @settings(max_examples=500, deadline=None)
 @given(expr=expressions, values=st.dictionaries(st.sampled_from(_ROLES), field_values))
+# A leaf operand is read inline: each unbound kind on either side, an int
+# constant on either side, a zero divisor, and a nested operand that recurses.
+@example(expr=("add", "a", "b"), values={"a": True, "b": 1})
+@example(expr=("multiply", "b", "a"), values={"a": True, "b": 1})
+@example(expr=("add", "a", "b"), values={"a": "+", "b": 1})
+@example(expr=("subtract", "b", "a"), values={"a": "+", "b": 1})
+@example(expr=("add", "a", "b"), values={"a": Fraction(1, 2), "b": 1})
+@example(expr=("divide", "b", "a"), values={"a": Fraction(1, 2), "b": 1})
+@example(expr=("add", "a", "b"), values={"a": None, "b": 1})
+@example(expr=("add", "b", "a"), values={"b": 1})
+@example(expr=("multiply", 3, "a"), values={"a": 4})
+@example(expr=("subtract", "a", -2), values={"a": 4})
+@example(expr=("divide", 7, 2), values={})
+@example(expr=("divide", "a", "b"), values={"a": 3, "b": 0})
+@example(expr=("divide", "a", 0), values={"a": 3})
+@example(expr=("divide", "a", ("subtract", "b", "b")), values={"a": 3, "b": 5})
+@example(expr=("add", ("divide", "a", "b"), "c"), values={"a": 1, "b": 3, "c": 2})
+@example(expr=("add", "c", ("divide", "a", "b")), values={"a": 6, "b": 3, "c": 2})
+@example(expr=("add", ("add", "a", "d"), "c"), values={"a": 1, "c": 2})
 def test_evaluate_binds_only_int_fields(expr, values):
     bound = {r: v for r, v in values.items() if type(v) is int}
     got = induction.evaluate(expr, values)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -275,6 +276,30 @@ def test_conditions_only_shrink_over_correct_example_sequences():
         assert sk.conditions <= previous
         assert sk.required <= sk.conditions
         previous = sk.conditions
+
+
+_LITERALS = [("op_equals", "+"), ("op_equals", "x"), ("denominators_equal",),
+             ("denominators_differ",), ("filled", "num1"), ("empty", "num1")]
+_literal_sets = st.frozensets(st.sampled_from(_LITERALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conditions=_literal_sets, required=_literal_sets, sat=_literal_sets,
+       correct=st.booleans())
+# A positive example that drops nothing, and a negative one that adds nothing.
+@example(conditions=frozenset(_LITERALS[:2]), required=frozenset(_LITERALS[:1]),
+         sat=frozenset(_LITERALS[:3]), correct=True)
+@example(conditions=frozenset(_LITERALS[:2]), required=frozenset(_LITERALS[1:2]),
+         sat=frozenset(_LITERALS[:1]), correct=False)
+def test_refinement_intersects_on_success_and_gates_exactly_the_failed_literals(
+        conditions, required, sat, correct):
+    sk = _skill(conditions, required)
+    refine_conditions(sk, SimpleNamespace(predicates=sat), correct)  # all it reads
+    if correct:
+        assert (sk.conditions, sk.required) == (conditions & sat, required & sat)
+    else:
+        assert sk.conditions == conditions
+        assert sk.required == required | (conditions - sat)
 
 
 # -- induce_from_demo ------------------------------------------------------

@@ -401,6 +401,13 @@ def _record_line(edit):
     return json.dumps(record)
 
 
+def _box_record_line(edit):
+    record = json.loads(gen_box_problem("hard", "unconstrained", random.Random(3),
+                                        "b7").to_record())
+    edit(record)
+    return json.dumps(record)
+
+
 def _misspell(record):
     record["steps"] = [["answer_nm", *s[1:]] if s[0] == "answer_num" else s
                        for s in record["steps"]]
@@ -459,9 +466,17 @@ _STRINGS = "problem_id and type must be strings, tags a list of strings"
     (_record_line(lambda record: record.update(tags=[1, 2])),
      "problem 'p7': " + _STRINGS),
     (_record_line(lambda record: record.update(problem_id=7)), "problem 7: " + _STRINGS),
+    *[(_record_line(lambda record, v=v: record["givens"].update(num1=v)),
+       "problem 'p7': given 'num1' must be of type int") for v in ("1", [1], 1.0, True, None)],
+    *[(_record_line(lambda record, v=v: record["givens"].update(op=v)),
+       "problem 'p7': given 'op' must be of type str") for v in (1, ["+"])],
+    *[(_box_record_line(lambda record, r=r, v=v: record["givens"].update({r: v})),
+       f"problem 'b7': given {r!r} must be of type {t}")
+      for r, v, t in (("r1_op", 1, "str"), ("r2_op", None, "str"), ("target", True, "int"))],
 ], ids=["not-json", "json-list", "no-id", "no-steps", "list-family", "int-editable",
         "int-steps", "four-field-step", "list-givens", "list-type", "string-tags",
-        "int-tags", "int-id"])
+        "int-tags", "int-id", "string-given", "list-given", "float-given", "bool-given",
+        "null-given", "int-op", "list-op", "int-box-op", "null-box-op", "bool-box-given"])
 def test_a_record_of_another_shape_is_one_config_error(line, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         ProblemScript.from_record(line)
