@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .agent import Agent, Activation, ProblemResult, decide, perceive, run_problem
+from .agent import Agent, decide, perceive, run_problem
 from .analytics import (
     CurvePoint,
     RegressionSummary,
@@ -31,7 +31,7 @@ from .tutors import (
 )
 
 __all__ = [
-    "Agent", "Activation", "ProblemResult", "decide", "perceive", "run_problem",
+    "Agent", "decide", "perceive", "run_problem",
     "CurvePoint", "RegressionSummary", "fit_logistic", "hard_problem_effect",
     "learning_curve", "posttest_effect",
     "ExperimentConfig", "TransactionLog", "TrialRecord", "box_arrows_config",

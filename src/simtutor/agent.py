@@ -7,8 +7,6 @@ nothing and are deterministic given the same experience stream.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .induction import Skill, evaluate, induce_from_demo, refine_conditions
 from .state import (
     CORRECT,
@@ -20,13 +18,6 @@ from .state import (
     WorkingMemory,
     render_value,
 )
-
-
-class Activation(NamedTuple):
-    """The skill chosen to fire and the step it proposes."""
-
-    skill: Skill
-    proposed: SAI
 
 
 def perceive(session) -> WorkingMemory:
@@ -75,7 +66,8 @@ def _outranks(a: Skill, b: Skill) -> bool:
 
 
 def decide(wm: WorkingMemory, skills, excluded=frozenset()):
-    """Best activation by utility, or None to request a demonstration.
+    """The best activation by utility as (skill, proposed step), or None to
+    request a demonstration.
 
     Ties break on higher attempt count, then smallest skill id.  Only the
     winner's step is built, its value rendered as input (none if structural).
@@ -87,27 +79,19 @@ def decide(wm: WorkingMemory, skills, excluded=frozenset()):
     if best is None:
         return None
     skill, value = best
-    return Activation(skill, SAI(skill.target_role, skill.action,
-                                 None if value is None else render_value(value)))
+    return skill, SAI(skill.target_role, skill.action,
+                      None if value is None else render_value(value))
 
 
-def apply_feedback(skills, activation: Activation, correct: bool,
-                   wm: WorkingMemory):
+def apply_feedback(skills, fired: Skill, correct: bool, wm: WorkingMemory):
     """Credit or penalize the fired skill and refine its predicates."""
     for sk in skills:
-        if sk is activation.skill:
+        if sk is fired:
             sk.record(correct)
             refine_conditions(sk, wm, correct)
             return sk
     raise InvariantError(f"activation references unknown skill "
-                         f"{activation.skill.skill_id!r}")
-
-
-class ProblemResult(NamedTuple):
-    """Outcome of one problem: per-step transactions plus overall correctness."""
-
-    correct: bool
-    steps: list  # (step role, CORRECT|ERROR|HINT)
+                         f"{fired.skill_id!r}")
 
 
 class Agent:
@@ -120,15 +104,15 @@ class Agent:
         return [sk.to_dict() for sk in self.skills]
 
 
-def run_problem(agent: Agent, session) -> ProblemResult:
-    """Drive one agent through one tutor problem.
+def run_problem(agent: Agent, session) -> list:
+    """Drive one agent through one tutor problem; returns its (step role,
+    CORRECT|ERROR|HINT) pairs.
 
     Each step the agent fires its best activation or, when nothing matches,
     requests a demonstration.  In a "tutor" session: learn from every outcome,
     retry a failed step with the next best untried activation, and learn from
     each demonstration.  In a "posttest" session: no feedback reaches the
     agent, and the first wrong step or demonstration request ends the problem.
-    A problem is correct when every step was.
     """
     training = session.mode == "tutor"
     steps = []
@@ -147,25 +131,24 @@ def run_problem(agent: Agent, session) -> ProblemResult:
         if filled is not None:
             wm = wm.with_value(filled, session.value(filled))
             filled = None
-        act = decide(wm, agent.skills, excluded)
-        if act is None:
+        fired = decide(wm, agent.skills, excluded)
+        if fired is None:
             steps.append((step.selection, HINT))
             if not training:
                 break
             sai = session.demonstrate()
             induce_from_demo(agent.skills, wm, sai)
         else:
-            sai = act.proposed
+            skill, sai = fired
             outcome = session.submit(sai)
             steps.append((step.selection, outcome))
             if training:
-                apply_feedback(agent.skills, act, outcome == CORRECT, wm)
+                apply_feedback(agent.skills, skill, outcome == CORRECT, wm)
             if outcome == ERROR:
                 if not training:
                     break
-                excluded.add(act.skill.skill_id)
+                excluded.add(skill.skill_id)
                 continue
         excluded.clear()
         filled = sai.selection
-    return ProblemResult(all(outcome == CORRECT for _role, outcome in steps),
-                         steps)
+    return steps

@@ -319,23 +319,19 @@ def run_agent(config: ExperimentConfig, replication: int, agent_index: int,
     agent = Agent()
     opportunities: dict = {}
     entries, pairs = [], {}
-
-    def run_block(scripts, phase, log=True):
+    for scripts, phase, logged in ((pretrain, "tutor", False), (training, "tutor", True),
+                                   (posttest, "posttest", True)):
         for script in scripts:
-            session = TutorSession(script, phase)
-            result = run_problem(agent, session)
-            problem_type, steps = script.problem_type, result.steps
+            steps = run_problem(agent, TutorSession(script, phase))
+            problem_type = script.problem_type
             opp = opportunities.get(problem_type, 0)
-            if log and steps:
+            if logged and steps:
+                correct = all(outcome == CORRECT for _role, outcome in steps)
                 steps = tuple(map(pairs.setdefault, steps, steps))
                 entries.append((
                     agent_id, replication, condition, phase, script.problem_id,
-                    problem_type, opp, result.correct, pairs.setdefault(steps, steps)))
+                    problem_type, opp, correct, pairs.setdefault(steps, steps)))
             opportunities[problem_type] = opp + 1
-
-    run_block(pretrain, "tutor", log=False)
-    run_block(training, "tutor")
-    run_block(posttest, "posttest")
     return TransactionLog(entries)
 
 

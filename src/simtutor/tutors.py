@@ -9,6 +9,7 @@ steps in any order, with done last, and its first error ends the attempt.
 from __future__ import annotations
 
 import json
+from itertools import permutations
 from typing import Callable, NamedTuple
 
 from .state import (
@@ -327,21 +328,17 @@ def ambiguity_count(values, answer) -> int:
     the asymmetric operators are distinct candidates when their values differ.
     """
     seen = set()
-    for i, a in enumerate(values):
-        for j, b in enumerate(values):
-            if i == j:
-                continue
-            if i < j:
-                lo, hi = (a, b) if a <= b else (b, a)
-                if a + b == answer:
-                    seen.add(("+", lo, hi))
-                if a * b == answer:
-                    seen.add(("*", lo, hi))
-            if a - b == answer:
-                seen.add(("-", a, b))
-            # a / b == answer, exactly and without building the quotient.
-            if b != 0 and a == answer * b:
-                seen.add(("/", a, b))
+    for a, b in permutations(values, 2):
+        lo, hi = (a, b) if a <= b else (b, a)
+        if a + b == answer:
+            seen.add(("+", lo, hi))
+        if a * b == answer:
+            seen.add(("*", lo, hi))
+        if a - b == answer:
+            seen.add(("-", a, b))
+        # a / b == answer, exactly and without building the quotient.
+        if b != 0 and a == answer * b:
+            seen.add(("/", a, b))
     return len(seen)
 
 

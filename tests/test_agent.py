@@ -14,7 +14,6 @@ import _oracles
 from simtutor import agent as agent_module
 from simtutor import experiment, induction
 from simtutor.agent import (
-    Activation,
     Agent,
     activations,
     apply_feedback,
@@ -40,6 +39,7 @@ from simtutor.state import (
     FieldState,
     InvariantError,
     MalformedTutorError,
+    ProtocolError,
     WorkingMemory,
 )
 from simtutor.tutors import (
@@ -127,16 +127,15 @@ def test_empty_skill_store_requests_a_demonstration():
 def test_higher_utility_activation_fires():
     fast = answer_skill("s1", 7, 8)    # utility 0.8
     slow = answer_skill("s2", 0, 0)    # utility 0.5
-    act = decide(WM, [slow, fast])
-    assert act.skill is fast
+    assert decide(WM, [slow, fast])[0] is fast
 
 
 def test_utility_tie_breaks_on_attempts_then_id():
     a = answer_skill("s2", 2, 4)   # 3/6 = 0.5
     b = answer_skill("s9", 1, 2)   # 2/4 = 0.5
-    assert decide(WM, [a, b]).skill is a
+    assert decide(WM, [a, b])[0] is a
     c = answer_skill("s1", 1, 2)
-    assert decide(WM, [b, c]).skill is c
+    assert decide(WM, [b, c])[0] is c
 
 
 def test_decide_never_fires_a_non_maximal_activation():
@@ -155,7 +154,7 @@ def test_decide_never_fires_a_non_maximal_activation():
             continue
         best = max(utility(s) for s in skills
                    if any(skill is s for skill, _value in live))
-        assert utility(act.skill) == best
+        assert utility(act[0]) == best
 
 
 def test_gate_predicates_exclude_mismatched_states():
@@ -176,24 +175,24 @@ def test_unbindable_procedures_do_not_activate():
 
 
 def test_activation_proposes_the_computed_value():
-    act = decide(WM, [answer_skill("s1", 0, 0)])
-    assert act.proposed == SAI("answer_num", "input_value", "2")
+    _skill, proposed = decide(WM, [answer_skill("s1", 0, 0)])
+    assert proposed == SAI("answer_num", "input_value", "2")
 
 
 # -- apply_feedback ----------------------------------------------------------
 
 def test_correct_outcome_updates_stats():
     sk = answer_skill("s1", 3, 4)
-    act = decide(WM, [sk])
-    apply_feedback([sk], act, True, WM)
+    fired, _proposed = decide(WM, [sk])
+    apply_feedback([sk], fired, True, WM)
     assert (sk.successes, sk.attempts) == (4, 5)
     assert utility(sk) == Fraction(5, 7)
 
 
 def test_incorrect_outcome_updates_stats():
     sk = answer_skill("s1", 0, 0)
-    act = decide(WM, [sk])
-    apply_feedback([sk], act, False, WM)
+    fired, _proposed = decide(WM, [sk])
+    apply_feedback([sk], fired, False, WM)
     assert (sk.successes, sk.attempts) == (0, 1)
     assert utility(sk) == Fraction(1, 3)
 
@@ -201,9 +200,8 @@ def test_incorrect_outcome_updates_stats():
 def test_stale_activation_raises():
     sk = answer_skill("s1", 0, 0)
     ghost = answer_skill("s1", 0, 0)  # equal, but not in the store
-    act = Activation(ghost, SAI("answer_num", "input_value", "2"))
     with pytest.raises(InvariantError):
-        apply_feedback([sk], act, True, WM)
+        apply_feedback([sk], ghost, True, WM)
 
 
 def test_utility_monotonicity():
@@ -221,9 +219,9 @@ def test_utility_monotonicity():
 def test_fresh_agent_posttest_fails_with_an_initial_hint():
     rng = random.Random(1)
     script = gen_fraction_problem("add_same", rng, "p1")
-    result = run_problem(Agent(), TutorSession(script, "posttest"))
-    assert result.correct is False
-    assert result.steps[0][1] == HINT
+    steps = run_problem(Agent(), TutorSession(script, "posttest"))
+    assert not all(o == CORRECT for _s, o in steps)
+    assert steps[0][1] == HINT
 
 
 def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
@@ -235,10 +233,10 @@ def test_training_completes_by_demonstrations_when_all_skills_are_wrong():
                               ("multiply", "den1", "den2"),
                               conditions=frozenset(), required=frozenset()))
     session = TutorSession(script, "tutor")
-    result = run_problem(agent, session)
+    steps = run_problem(agent, session)
     assert session.next_step() is None
-    assert result.correct is False
-    outcomes = [o for _s, o in result.steps]
+    outcomes = [o for _s, o in steps]
+    assert not all(o == CORRECT for o in outcomes)
     assert "ERROR" in outcomes and HINT in outcomes
 
 
@@ -249,9 +247,10 @@ def test_trained_agent_masters_a_single_type_curriculum():
     for i in range(30):
         script = gen_fraction_problem("multiply", rng, f"p{i}")
         results.append(run_problem(agent, TutorSession(script, "tutor")))
-    assert all(r.correct for r in results[-10:])
+    assert all(o == CORRECT for steps in results[-10:] for _s, o in steps)
     posttest = gen_fraction_problem("multiply", rng, "post")
-    assert run_problem(agent, TutorSession(posttest, "posttest")).correct
+    assert all(o == CORRECT
+               for _s, o in run_problem(agent, TutorSession(posttest, "posttest")))
 
 
 def test_trained_agent_passes_a_posttest_problem_cleanly():
@@ -260,11 +259,11 @@ def test_trained_agent_passes_a_posttest_problem_cleanly():
     for i in range(12):
         script = gen_fraction_problem("add_same", rng, f"p{i}")
         run_problem(agent, TutorSession(script, "tutor"))
-    result = run_problem(agent,
-                         TutorSession(gen_fraction_problem("add_same", rng, "post"),
-                                      "posttest"))
-    assert result.correct is True
-    assert [o for _s, o in result.steps] == [CORRECT, CORRECT, CORRECT]
+    steps = run_problem(agent,
+                        TutorSession(gen_fraction_problem("add_same", rng, "post"),
+                                     "posttest"))
+    assert all(o == CORRECT for _s, o in steps)
+    assert [o for _s, o in steps] == [CORRECT, CORRECT, CORRECT]
 
 
 def test_skill_store_serializes_for_inspection():
@@ -306,12 +305,12 @@ def test_run_problem_derives_a_state_only_for_a_later_step(monkeypatch):
     agent = Agent()
     agent.skills.append(Skill("s1", "conv_den1", "input_value",  # always wrong
                               ("add", "den1", "den2"), conditions=frozenset()))
-    result = run_problem(agent, TutorSession(script, "tutor"))
-    assert result.steps[:4] == [("convert_check", ERROR), ("convert_check", HINT),
-                                ("conv_den1", ERROR), ("conv_den1", HINT)]
-    assert result.steps[-1] == ("done", HINT)
+    steps = run_problem(agent, TutorSession(script, "tutor"))
+    assert steps[:4] == [("convert_check", ERROR), ("convert_check", HINT),
+                         ("conv_den1", ERROR), ("conv_den1", HINT)]
+    assert steps[-1] == ("done", HINT)
     assert derived == [s.selection for s in script.canonical_steps[:-1]]
-    assert len(derived) == _fills_seen_later(result.steps)
+    assert len(derived) == _fills_seen_later(steps)
 
     # A posttest attempt that ends on an ERROR saw every field it filled.
     derived.clear()
@@ -320,8 +319,8 @@ def test_run_problem_derives_a_state_only_for_a_later_step(monkeypatch):
                           conditions=frozenset()),
                     Skill("s2", "answer_den", "input_value",  # always wrong
                           ("multiply", "den1", "den2"), conditions=frozenset())]
-    result = run_problem(agent, TutorSession(script, "posttest"))
-    assert result.steps == [("answer_num", CORRECT), ("answer_den", ERROR)]
+    steps = run_problem(agent, TutorSession(script, "posttest"))
+    assert steps == [("answer_num", CORRECT), ("answer_den", ERROR)]
     assert derived == ["answer_num"]
 
 
@@ -335,8 +334,16 @@ def test_a_whole_cell_derives_a_state_only_for_a_later_step(monkeypatch):
         return results[-1]
     monkeypatch.setattr(experiment, "run_problem", run_problem)
     run_agent(fractions_config(seed=7), 0, 1)
-    assert {o for r in results for _s, o in r.steps} == {CORRECT, ERROR, HINT}
-    assert len(derived) == sum(_fills_seen_later(r.steps) for r in results)
+    assert {o for steps in results for _s, o in steps} == {CORRECT, ERROR, HINT}
+    assert len(derived) == sum(map(_fills_seen_later, results))
+
+
+def test_a_session_that_never_advances_is_a_protocol_error():
+    session = TutorSession(gen_fraction_problem("add_same", random.Random(1), "p1"),
+                           "tutor")
+    session._lock = lambda sai: None  # every step is taken, and none is locked in
+    with pytest.raises(ProtocolError, match="^tutor session failed to progress$"):
+        run_problem(Agent(), session)
 
 
 def test_identical_seeds_give_identical_transcripts():
@@ -346,7 +353,7 @@ def test_identical_seeds_give_identical_transcripts():
         steps = []
         for i in range(8):
             script = gen_fraction_problem("add_diff", rng, f"p{i}")
-            steps.extend(run_problem(agent, TutorSession(script, "tutor")).steps)
+            steps.extend(run_problem(agent, TutorSession(script, "tutor")))
         return steps
 
     assert transcript(42) == transcript(42)

@@ -371,6 +371,26 @@ def test_log_likelihood_is_monotone_across_iterations():
     assert np.all(diffs >= -1e-9)
 
 
+def test_a_step_that_lowers_the_likelihood_is_halved(monkeypatch):
+    # Two full Newton steps on this design lower the log-likelihood, and each
+    # is halved once: one evaluation at the start, one per iteration and one
+    # per halving.
+    X = [[1, 0, -3, 15], [1, 1, -15, -1], [1, -3, -1, -15], [1, 40, 2, 60],
+         [1, 40, -15, -1], [1, 15, -2, -5], [1, 20, -40, -1]]
+    calls, log_likelihood = [], analytics.log_likelihood
+
+    def counted(*args):
+        calls.append(args)
+        return log_likelihood(*args)
+    monkeypatch.setattr(analytics, "log_likelihood", counted)
+    fit = fit_logit(X, [0, 1, 0, 0, 1, 0, 0], ["Intercept", "a", "b", "c"],
+                    weights=[500, 500, 5, 2, 2, 2, 500])
+    assert fit.converged and fit.n_iterations == 10
+    assert len(calls) == 1 + fit.n_iterations + 2
+    # Never lower than the step acceptance's rounding tolerance allows.
+    assert np.all(np.diff(fit.ll_history) >= -1e-12)
+
+
 def test_identical_outcomes_raise_a_separation_error():
     X = np.column_stack([np.ones(200), np.linspace(-1, 1, 200)])
     y = np.ones(200)

@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 from simtutor.cli import main
+from simtutor.experiment import fractions_config, run_study
+from simtutor.state import CORRECT, HINT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +38,23 @@ def test_a_run_and_its_report_span_every_bench_layer(tmp_path, monkeypatch, caps
                      "--seed", "7", "--jobs", "1", "--out", str(out)]) == 0
         assert main(["report", str(out / "transactions.csv")]) == 0
     assert [layer for code, layer in enumerate(LAYERS) if code not in tracer.layer] == []
+
+
+def test_the_tracers_decision_counters_agree_with_the_log(monkeypatch):
+    """The tracer reads ``decide``'s result (None for a demonstration request)
+    and ``apply_feedback``'s argument 2 (``correct``).  A change to either
+    would skew its counters without failing the self-check."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    with tracer:
+        log = run_study(fractions_config(n_agents=8, replications=1, seed=7))
+    m = tracer.layer_metrics()
+    rows = [(rec.phase, rec.outcome) for rec in log]
+    fed = [outcome for phase, outcome in rows if phase == "tutor" and outcome != HINT]
+    assert m["decide.calls"] == len(rows)
+    assert m["decide.hit_ratio"] == sum(o != HINT for _p, o in rows) / len(rows)
+    assert m["feedback.calls"] == len(fed)
+    assert m["feedback.correct_ratio"] == fed.count(CORRECT) / len(fed)
+    assert m["induce.calls"] == rows.count(("tutor", HINT))

@@ -314,6 +314,22 @@ def test_gen_problems_rejects_a_count_below_one(capsys, count):
         f"simtutor: config error: --count must be at least 1, not {count}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["report", "LOG"], "empty transaction log"),
+    (["gen-problems", "box-arrows", "--type", "box_medium"],
+     "unknown box problem type 'box_medium'"),
+], ids=["header-only-log", "unknown-box-type"])
+def test_an_empty_log_or_unknown_box_type_exits_one_in_one_line(tmp_path, capsys,
+                                                                 argv, message):
+    log = tmp_path / "transactions.csv"
+    _write_log(log, [])
+    capsys.readouterr()
+    assert main([str(log) if arg == "LOG" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"simtutor: config error: {message}"]
+
+
 # Number tokens that int() accepts but as_row never writes.
 _NON_CANONICAL = {"plus-sign": "+3", "underscore": "1_0", "leading-space": " 3",
                   "arabic-indic-digit": "\u0663", "leading-zero": "03"}

@@ -19,6 +19,7 @@ from simtutor import experiment
 from simtutor.analytics import accuracy_by_condition, problem_outcomes
 from simtutor.experiment import (
     COLUMNS,
+    ExperimentConfig,
     TrialRecord,
     agent_condition,
     box_arrows_config,
@@ -85,6 +86,8 @@ def test_invalid_configs_fail_before_simulation():
         box_arrows_config(jobs=0)
     with pytest.raises(ConfigError, match="^n_agents must be at least 1$"):
         replace(fractions_config(), n_agents=0)
+    with pytest.raises(ConfigError, match="^unknown study 'chess'$"):
+        ExperimentConfig(study="chess", n_agents=1)
 
 
 def test_condition_allocation_is_balanced():
@@ -670,6 +673,24 @@ def test_a_bad_prefix_first_seen_mid_chunk_names_its_row(tmp_path, row):
         read_transactions(path)
     assert str(err.value) == (f"malformed transaction row {row + 2}: "
                               "non-canonical integer '007'")
+    with pytest.raises(ConfigError) as expected:
+        csv_read_transactions(path)
+    assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("short", ["a,b", "x", "", "a000,0,blocked"],
+                         ids=["two-fields", "one-field", "empty", "three-fields"])
+def test_a_row_of_fewer_than_four_fields_in_a_plain_chunk_names_its_row(
+        tmp_path, short):
+    path = tmp_path / "transactions.csv"
+    row = "a000,0,blocked,tutor,p0,add_same,0,answer_num,CORRECT,1\r\n"
+    path.write_text(",".join(COLUMNS) + "\r\n" + row * 5 + short + "\r\n" + row * 3,
+                    newline="")
+    with pytest.raises(ConfigError) as err:
+        read_transactions(path)
+    fields = short.split(",") if short else []
+    assert str(err.value) == ("malformed transaction row 7: "
+                              f"expected 10 columns, got {fields!r}")
     with pytest.raises(ConfigError) as expected:
         csv_read_transactions(path)
     assert str(err.value) == str(expected.value)

@@ -389,6 +389,15 @@ def test_structural_demo_builds_a_procedure_free_skill():
     skills = []
     created = induce_from_demo(skills, wm, SAI("convert_check", "check_box"))
     assert created.procedure is None and created.action == "check_box"
+    assert explain(wm, SAI("convert_check", "check_box")) == []
+
+
+def test_a_demonstration_outside_working_memory_is_an_invariant_error():
+    wm = make_wm(("den1", 2), ("den2", 3))
+    skills = []
+    with pytest.raises(InvariantError, match="^unknown field 'conv_den1'$"):
+        induce_from_demo(skills, wm, SAI("conv_den1", "input_value", "6"))
+    assert skills == []
 
 
 def test_skill_store_growth_is_bounded_by_demonstrations():

@@ -92,6 +92,10 @@ def test_generator_ranges_and_type_constraints():
 def test_unknown_problem_type_is_a_config_error():
     with pytest.raises(ConfigError):
         gen_fraction_problem("subtract", random.Random(0), "p")
+    with pytest.raises(ConfigError, match="^unknown difficulty 'medium'$"):
+        gen_box_problem("medium", "constrained", random.Random(0), "p")
+    with pytest.raises(ConfigError, match="^unknown constraint 'loose'$"):
+        gen_box_problem("hard", "loose", random.Random(0), "p")
 
 
 # -- box generation ----------------------------------------------------------
@@ -323,6 +327,8 @@ def test_a_session_mode_is_a_phase_word_of_the_log():
     # The mode is the phase the log records: "tutor" or "posttest".
     with pytest.raises(ConfigError, match="unknown session mode 'training'"):
         TutorSession(_script(), "training")
+    with pytest.raises(ConfigError, match="^unknown tutor family 'chess'$"):
+        TutorSession(_script()._replace(family="chess"), "tutor")
 
 
 def test_demonstrate_is_a_protocol_error_at_posttest():
