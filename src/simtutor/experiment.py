@@ -346,7 +346,7 @@ def _worker(args):
 
 def _check_problem_sets(problem_sets, cells):
     """Raise ``ConfigError`` naming the first of ``cells`` that ``problem_sets``
-    lacks or gives as anything but three lists of ``ProblemScript``s."""
+    lacks or gives as anything but three lists of ``ProblemScript``s with steps."""
     for rep, idx in cells:
         name = f"problem sets for replication {rep}, agent {idx}"
         try:
@@ -359,6 +359,8 @@ def _check_problem_sets(problem_sets, cells):
                 for group in sets)):
             raise ConfigError(f"{name} must be (pretrain, training, posttest) "
                               "lists of ProblemScript")
+        if empty := [s.problem_id for s in chain(*sets) if not s.canonical_steps]:
+            raise ConfigError(f"{name}: problem {empty[0]!r} has no steps")
 
 
 def run_study(config: ExperimentConfig, problem_sets=None):

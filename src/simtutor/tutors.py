@@ -145,8 +145,8 @@ class ProblemScript(NamedTuple):
             raise ConfigError(f"{where}: no {exc} key") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        if len(roles) < len(steps):
-            raise ConfigError(f"{name} repeats a step role")
+        if not steps or len(roles) < len(steps):
+            raise ConfigError(f"{name} {'repeats a step role' if steps else 'has no steps'}")
         return script
 
 
@@ -164,6 +164,7 @@ class TutorSession:
         self._editable = script.editable_roles
         self._values = {r: script.given_fields.get(r) for r in self.family.layout}
         self._locked = set()
+        self._pending = list(script.canonical_steps)  # not yet locked, in order
         self._dead = False
 
     def snapshot(self):
@@ -179,15 +180,12 @@ class TutorSession:
 
     def next_step(self):
         """The first canonical step not yet locked, or None when all are."""
-        locked = self._locked
-        for step in self.script.canonical_steps:
-            if step[0] not in locked:  # the selection, also of a hand-built tuple
-                return step
-        return None
+        return self._pending[0] if self._pending else None
 
     def _lock(self, sai: SAI):
         role, _action, token = sai
         self._locked.add(role)
+        self._pending = [s for s in self._pending if s[0] != role]  # s[0]: also a plain tuple's role
         try:  # a check or done step has no input, and its field reads True
             self._values[role] = True if token is None else parse_integer(token)
         except ValueError:
@@ -196,22 +194,19 @@ class TutorSession:
     def submit(self, sai: SAI) -> str:
         """Judge one step: ``CORRECT`` locks it in, ``ERROR`` changes no field.
 
-        Correct is equal to the next canonical step (tutor) or to any
-        unlocked one, ``done`` last (posttest, where ``ERROR`` ends the attempt).
+        Correct is equal to the first pending step (tutor) or to any pending
+        one, ``done`` only as the last (posttest, where ``ERROR`` ends the attempt).
         """
-        step = self.next_step()
-        if self._dead or step is None:
+        pending = self._pending
+        if self._dead or not pending:
             raise ProtocolError("session is not accepting steps")
-        locked = self._locked
         if self.mode == "tutor":
-            if sai.selection in locked:
+            if sai.selection in self._locked:
                 raise ProtocolError(f"field {sai.selection!r} is locked")
-            ok = sai == step
+            ok = sai == pending[0]
         else:
-            steps = self.script.canonical_steps
-            ok = sai.selection not in locked and sai in steps
-            if ok and sai.action == PRESS_DONE:
-                ok = all(s.selection in locked for s in steps if s != sai)
+            ok = sai in pending and (sai.action != PRESS_DONE
+                                     or pending.count(sai) == len(pending))
             self._dead = not ok
         if not ok:
             return ERROR

@@ -58,3 +58,24 @@ def test_the_tracers_decision_counters_agree_with_the_log(monkeypatch):
     assert m["feedback.calls"] == len(fed)
     assert m["feedback.correct_ratio"] == fed.count(CORRECT) / len(fed)
     assert m["induce.calls"] == rows.count(("tutor", HINT))
+
+
+def test_the_tracers_session_counters_agree_with_the_log(monkeypatch):
+    """A problem perceives once and runs once; its session takes one
+    ``snapshot``, one ``submit`` per row that is not a ``HINT`` and one
+    ``demonstrate`` per tutor-phase ``HINT``.  A session that took more or
+    fewer of these would skew the ``session`` layer's counters."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    with tracer:
+        log = run_study(fractions_config(n_agents=8, replications=1, seed=7))
+    m = tracer.layer_metrics()
+    rows = [(rec.phase, rec.outcome) for rec in log]
+    entries = len(log.entries)
+    submitted = sum(o != HINT for _p, o in rows)
+    demonstrated = rows.count(("tutor", HINT))
+    assert m["perceive.calls"] == m["run_problem.calls"] == entries == 448
+    assert m["session.calls"] == entries + submitted + demonstrated
+    assert (entries, submitted, demonstrated) == (448, 1970, 147)

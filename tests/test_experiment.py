@@ -246,6 +246,19 @@ def test_problem_sets_without_a_cell_are_rejected_up_front(monkeypatch):
     assert str(err.value) == "problem sets for replication 1, agent 0 are missing"
 
 
+def test_problem_sets_with_a_problem_without_steps_are_rejected_up_front(monkeypatch):
+    # Such a problem logs no row, yet would shift its type's later opportunities.
+    cfg = fractions_config(n_agents=2, replications=1, seed=3)
+    sets = dump_problem_sets(cfg)
+    training = sets[(0, 1)][1]
+    training.insert(0, training[0]._replace(problem_id="empty", canonical_steps=()))
+    monkeypatch.setattr(experiment, "run_agent", _never_run)
+    with pytest.raises(ConfigError) as err:
+        run_study(cfg, problem_sets=sets)
+    assert str(err.value) == ("problem sets for replication 0, agent 1: "
+                              "problem 'empty' has no steps")
+
+
 @pytest.mark.parametrize("reshape", [
     # The former shape: a dict of JSON strings per phase.
     lambda groups: {phase: [s.to_record() for s in group]

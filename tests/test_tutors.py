@@ -311,6 +311,21 @@ def test_demonstrating_a_malformed_step_raises_before_locking_it():
     assert session.next_step() == script.canonical_steps[0]
 
 
+def test_a_hand_built_script_that_repeats_a_role_is_done_with_it_once_locked():
+    # Locking a role settles every step of that role, in both modes.
+    script = _script("add_same")._replace(canonical_steps=(
+        SAI("answer_num", "input_value", "5"), SAI("answer_num", "input_value", "6"),
+        SAI("done", "press_done")))
+    tutor = TutorSession(script, "tutor")
+    assert tutor.submit(script.canonical_steps[1]) == ERROR
+    assert tutor.submit(script.canonical_steps[0]) == CORRECT
+    assert tutor.next_step() == script.canonical_steps[2]
+    posttest = TutorSession(script, "posttest")
+    assert posttest.submit(script.canonical_steps[1]) == CORRECT
+    assert posttest.submit(script.canonical_steps[2]) == CORRECT
+    assert posttest.next_step() is None
+
+
 @pytest.mark.parametrize("token, value", [("12", 12), ("-3", -3), ("²5", "²5"),
                                           ("--5", "--5"), ("05", "05"), ("1_0", "1_0")])
 def test_a_locked_entry_is_an_int_only_when_it_is_a_canonical_integer(token, value):
@@ -443,6 +458,14 @@ def test_a_record_that_repeats_a_step_role_is_rejected():
     record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p7").to_record())
     record["steps"].insert(1, ["answer_num", "input_value", "999"])
     with pytest.raises(ConfigError, match="problem 'p7' repeats a step role"):
+        ProblemScript.from_record(json.dumps(record))
+
+
+def test_a_record_with_no_steps_is_rejected():
+    # A problem with no steps logs no row, yet would count as an opportunity.
+    record = json.loads(gen_fraction_problem("add_same", random.Random(3), "p0").to_record())
+    record["steps"] = []
+    with pytest.raises(ConfigError, match="^problem 'p0' has no steps$"):
         ProblemScript.from_record(json.dumps(record))
 
 
